@@ -19,16 +19,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts, OutcomeSpace
-from .interference import Hyperbolic, kind_label
+from .interference import KIND_LABELS, column_values
 from .twoslit import (
     ExperimentReport,
     ExplicitPhase,
@@ -37,6 +40,7 @@ from .twoslit import (
     TwoSlitScenario,
     decompose_empirical,
     gaussian_envelope,
+    interference_pattern,
     run_experiment,
     table_envelope,
     uniform_envelope,
@@ -54,14 +58,20 @@ ANALYZE_HEADER = [
     "bin", "p_hat_S", "p_hat_1", "p_hat_2", "delta", "lambda", "kind", "theta", "stderr_lambda",
 ]
 
+# One row per format; "%.15g" renders as fmt15 does. The analyze cells after
+# delta arrive as strings because they may be empty.
+_PATTERN_ROW = ",".join(["%.15g"] * len(PATTERN_HEADER))
+_ANALYZE_ROW = "%s,%.15g,%.15g,%.15g,%.15g,%s,%s,%s,%s"
+
 
 def fmt15(value: float) -> str:
     """Render a float with 15 significant digits."""
     return format(value, ".15g")
 
 
-def _opt(value: float | None) -> str:
-    return "" if value is None else fmt15(value)
+def _opt_column(column: np.ndarray) -> list[str]:
+    """:func:`fmt15` of every value in a column, with an empty cell for NaN."""
+    return ["" if v != v else "%.15g" % v for v in column.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +296,25 @@ def _counts_document(counts: EnsembleCounts) -> dict:
     }
 
 
-def _bin_document(est) -> dict:
-    return {
-        "bin": est.bin,
-        "x": est.x,
-        "p_s": est.p_s,
-        "p_1": est.p_1,
-        "p_2": est.p_2,
-        "classical": est.classical,
-        "delta": est.delta,
-        "lambda": est.lam,
-        "kind": kind_label(est.kind),
-        "sign": est.kind.sign if isinstance(est.kind, Hyperbolic) else None,
-        "theta": est.theta,
-        "stderr_lambda": est.stderr_lambda,
-        "stderr_theta": est.stderr_theta,
-        "z": est.z,
+def _bin_documents(report: ExperimentReport) -> list[dict]:
+    t = report.table
+    columns = {
+        "bin": report.labels,
+        "x": report.x or (None,) * len(report.labels),
+        "p_s": t.p_s.tolist(),
+        "p_1": t.p1.tolist(),
+        "p_2": t.p2.tolist(),
+        "classical": t.classical.tolist(),
+        "delta": t.delta.tolist(),
+        "lambda": column_values(t.lam),
+        "kind": [KIND_LABELS[k] for k in t.kind.tolist()],
+        "sign": [s or None for s in t.sign.tolist()],
+        "theta": column_values(t.theta),
+        "stderr_lambda": column_values(t.stderr_lambda),
+        "stderr_theta": column_values(t.stderr_theta),
+        "z": column_values(t.z),
     }
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def report_document(report: ExperimentReport) -> dict:
@@ -321,7 +333,7 @@ def report_document(report: ExperimentReport) -> dict:
         "pattern_normalization": report.pattern_normalization,
         "violation_statistic": report.violation_statistic,
         "classification_tol": report.classification_tol,
-        "bins": [_bin_document(est) for est in report.bins],
+        "bins": _bin_documents(report),
     }
 
 
@@ -349,45 +361,27 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
     ``p_interference`` adds the cosine cross term. Both are the raw per-bin
     formula values, before any grid renormalization.
     """
-    x = scenario.grid.midpoints()
+    p1 = np.asarray(scenario.envelope1, dtype=float)
+    p2 = np.asarray(scenario.envelope2, dtype=float)
     theta = scenario.phase_table()
-    rows = []
-    for i in range(scenario.grid.bins):
-        p1 = scenario.envelope1[i]
-        p2 = scenario.envelope2[i]
-        classical = 0.5 * (p1 + p2)
-        full = 0.5 * (p1 + p2 + 2.0 * math.sqrt(p1 * p2) * math.cos(theta[i]))
-        rows.append(
-            [fmt15(float(x[i])), fmt15(p1), fmt15(p2), fmt15(float(theta[i])),
-             fmt15(classical), fmt15(full)]
-        )
-    return rows
+    columns = (
+        scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
+        interference_pattern(p1, p2, theta),
+    )
+    return [(_PATTERN_ROW % row).split(",") for row in zip(*(c.tolist() for c in columns))]
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:
     """Analysis table plus '#'-prefixed summary lines."""
+    t = report.table
+    # hyperbolic kinds carry their sign: ("", "+", "-")[sign] for sign 0, 1, -1
+    kinds = [KIND_LABELS[k] + ("", "+", "-")[s] for k, s in zip(t.kind.tolist(), t.sign.tolist())]
+    rows = zip(
+        report.labels, t.p_s.tolist(), t.p1.tolist(), t.p2.tolist(), t.delta.tolist(),
+        _opt_column(t.lam), kinds, _opt_column(t.theta), _opt_column(t.stderr_lambda),
+    )
     lines = [",".join(ANALYZE_HEADER)]
-    for est in report.bins:
-        kind = kind_label(est.kind)
-        if isinstance(est.kind, Hyperbolic) and est.kind.sign < 0:
-            kind = "hyperbolic-"
-        elif isinstance(est.kind, Hyperbolic):
-            kind = "hyperbolic+"
-        lines.append(
-            ",".join(
-                [
-                    est.bin,
-                    fmt15(est.p_s),
-                    fmt15(est.p_1),
-                    fmt15(est.p_2),
-                    fmt15(est.delta),
-                    _opt(est.lam),
-                    kind,
-                    _opt(est.theta),
-                    _opt(est.stderr_lambda),
-                ]
-            )
-        )
+    lines.extend(map(_ANALYZE_ROW.__mod__, rows))
     lines.append(f"# splitting_c1 = {fmt15(report.coeffs.c1)}")
     lines.append(f"# splitting_c2 = {fmt15(report.coeffs.c2)}")
     lines.append(f"# splitting_deviation = {fmt15(report.coeff_deviation)}")
@@ -463,29 +457,17 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_pattern(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = _override_seed(scenario, args.seed)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     lines = [",".join(PATTERN_HEADER)]
     lines.extend(",".join(row) for row in pattern_rows(scenario))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _override_seed(scenario: TwoSlitScenario, seed: int) -> TwoSlitScenario:
-    return TwoSlitScenario(
-        scenario.grid,
-        scenario.envelope1,
-        scenario.envelope2,
-        scenario.phase,
-        scenario.n_emitted,
-        scenario.runs,
-        seed,
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = _override_seed(scenario, args.seed)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_experiment(scenario, tol=args.tol, workers=args.workers)
     doc = simulation_document(scenario, report)
     _emit(render_json(doc), args.out)
@@ -509,6 +491,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxprob",
@@ -516,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument(
-        "--tol", type=float, default=1e-9, help="classification tolerance around |lambda| = 1"
+        "--tol", type=_tolerance, default=1e-9,
+        help="classification tolerance around |lambda| = 1 (finite, positive)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

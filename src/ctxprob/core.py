@@ -141,7 +141,8 @@ def validate_space(space: OutcomeSpace) -> list[Violation]:
     return out
 
 
-def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
+def validate_coverage(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
+    """Check that a distribution assigns a probability to exactly the declared bins."""
     out: list[Violation] = []
     declared = set(space.bins)
     keys = set(dist.probs)
@@ -161,6 +162,11 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
                 bin=extra,
             )
         )
+    return out
+
+
+def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
+    out = validate_coverage(dist, space)
     for label, p in dist.probs.items():
         if not (0.0 <= p <= 1.0):
             out.append(

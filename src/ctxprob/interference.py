@@ -25,6 +25,10 @@ In the denominator of ``lambda`` both factors are weighted by the transition
 coefficient of their own branch, ``c1*p1`` and ``c2*p2``; this is the reading
 consistent with the decomposition identity above.
 
+The scalar functions define the calculus for one bin; whole models run on
+one vectorized kernel, :func:`decompose_arrays`, over arrays indexed by bin
+position. Bin labels are mapped to positions by its callers.
+
 Everything here is a pure function over immutable inputs and may be called
 concurrently without restriction.
 """
@@ -32,9 +36,19 @@ concurrently without restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .core import ContextualModel, OutcomeSpace, SplittingCoefficients, validate_model
+import numpy as np
+
+from .core import (
+    DISTRIBUTION_SUM_TOL,
+    ContextualModel,
+    OutcomeSpace,
+    SplittingCoefficients,
+    validate_coefficients,
+    validate_coverage,
+    validate_space,
+)
 from .errors import ConsistencyError, DegenerateBranch, OutOfRange
 
 #: Default half-width of the band around ``|lambda| = 1`` classified Boundary.
@@ -86,14 +100,9 @@ class Degenerate:
 InterferenceKind = Trigonometric | Hyperbolic | Boundary
 BinKind = Trigonometric | Hyperbolic | Boundary | Degenerate
 
-
-def kind_label(kind: BinKind) -> str:
-    return {
-        Trigonometric: "trigonometric",
-        Hyperbolic: "hyperbolic",
-        Boundary: "boundary",
-        Degenerate: "degenerate",
-    }[type(kind)]
+#: Codes of :attr:`DecompositionTable.kind`, indexing :data:`KIND_LABELS`.
+DEGENERATE, TRIGONOMETRIC, HYPERBOLIC, BOUNDARY = range(4)
+KIND_LABELS = ("degenerate", "trigonometric", "hyperbolic", "boundary")
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +120,52 @@ class BinDecomposition:
     kind: BinKind
 
 
+@dataclass(frozen=True, eq=False)
+class DecompositionTable:
+    """Per-bin decomposition as columns indexed by bin position.
+
+    ``kind`` holds codes into :data:`KIND_LABELS`; ``sign`` is the sign of
+    hyperbolic bins, 0 elsewhere. NaN marks an undefined value (None in the
+    per-bin records). The last three columns need detection totals.
+    """
+
+    p_s: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    classical: np.ndarray
+    delta: np.ndarray
+    lam: np.ndarray
+    kind: np.ndarray
+    sign: np.ndarray
+    theta: np.ndarray
+    stderr_lambda: np.ndarray | None = None
+    stderr_theta: np.ndarray | None = None
+    z: np.ndarray | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DecompositionTable):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a is b or np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+
+    def kinds(self) -> list[BinKind]:
+        """The per-bin classification records."""
+        out: list[BinKind] = []
+        for code, theta, sign in zip(self.kind.tolist(), self.theta.tolist(), self.sign.tolist()):
+            if code == TRIGONOMETRIC:
+                out.append(Trigonometric(theta))
+            elif code == HYPERBOLIC:
+                out.append(Hyperbolic(theta, sign))
+            else:
+                out.append(Boundary() if code == BOUNDARY else Degenerate())
+        return out
+
+
+def column_values(column: np.ndarray) -> list[float | None]:
+    """A column as Python floats, with None where it holds NaN."""
+    return [None if v != v else v for v in column.tolist()]
+
+
 @dataclass(frozen=True)
 class InterferenceDecomposition:
     """Per-bin decomposition of a contextual model."""
@@ -118,7 +173,16 @@ class InterferenceDecomposition:
     space: OutcomeSpace
     coeffs: SplittingCoefficients
     tol: float
-    bins: tuple[BinDecomposition, ...]
+    table: DecompositionTable
+
+    @property
+    def bins(self) -> tuple[BinDecomposition, ...]:
+        """One record per bin, built from :attr:`table` on each access."""
+        t = self.table
+        rows = zip(
+            self.space.bins, t.classical.tolist(), t.delta.tolist(), column_values(t.lam), t.kinds()
+        )
+        return tuple(BinDecomposition(*row) for row in rows)
 
     def by_bin(self) -> dict[str, BinDecomposition]:
         return {rec.bin: rec for rec in self.bins}
@@ -221,19 +285,102 @@ def forward_hyp(
     return value
 
 
-def _check_delta_forms(
-    coeffs: SplittingCoefficients, p_s: float, p1: float, p2: float, delta: float
-) -> None:
-    # delta from its definition must agree with pS - total_probability up to
-    # the (recorded) deviation of c1 + c2 from 1. A failure here means the
-    # inputs bypassed validation.
-    residual = p_s - total_probability(coeffs, p1, p2)
-    slack = RECONSTRUCTION_TOL + coeffs.deviation * abs(p_s)
-    if abs(delta - residual) > slack:
-        raise ConsistencyError(
-            f"perturbation forms disagree at pS={p_s!r}, p1={p1!r}, p2={p2!r}: "
-            f"definition gives {delta!r}, residual form gives {residual!r}"
+def _check_distribution(context: str, p: np.ndarray) -> None:
+    outside = int(np.count_nonzero(~((p >= 0.0) & (p <= 1.0))))
+    total = float(p.sum())
+    if outside or abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+        raise ValueError(
+            f"cannot decompose an invalid model: context {context!r} has {outside} "
+            f"probabilities outside [0, 1] and sums to {total!r} (must be 1 within "
+            f"{DISTRIBUTION_SUM_TOL})"
         )
+
+
+def decompose_arrays(
+    coeffs: SplittingCoefficients,
+    p_s: np.ndarray,
+    p1: np.ndarray,
+    p2: np.ndarray,
+    tol: float = DEFAULT_CLASSIFY_TOL,
+    totals: tuple[int, int, int] | None = None,
+) -> DecompositionTable:
+    """Decompose every bin of the arrays at once.
+
+    Per bin, the results equal those of :func:`total_probability`,
+    :func:`perturbation_delta`, :func:`lambda_coefficient` and
+    :func:`classify` bit for bit: the float operations are the same, and the
+    phases come from ``math.acos``/``math.acosh``, which numpy's SIMD
+    versions do not always match in the last bit. Bins where ``c1*p1`` or
+    ``c2*p2`` vanishes are Degenerate. Exact and empirical coefficients are
+    both accepted; the caller validates them.
+
+    Given the detected totals ``(N, N1, N2)`` behind the probabilities, it
+    also computes first-order binomial standard errors of lambda and theta
+    (the coefficients taken as constants) and ``z``, the departure from the
+    mixture ``|pS - (c1*p1 + c2*p2)|`` in standard-error units.
+
+    Raises:
+        ValueError: if ``tol`` is not positive, or a distribution is not
+            within [0, 1] and normalized.
+        ConsistencyError: if delta differs from ``pS - (c1*p1 + c2*p2)`` by
+            more than ``1e-12 + |c1 + c2 - 1| * pS`` on some bin.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"classification tolerance must be positive, got {tol!r}")
+    for context, p in (("S", p_s), ("S1", p1), ("S2", p2)):
+        _check_distribution(context, p)
+    classical = total_probability(coeffs, p1, p2)
+    delta = perturbation_delta(coeffs, p_s, p1, p2)
+    residual = p_s - classical
+    # The two forms of delta agree up to the deviation of c1 + c2 from 1; a
+    # failure here means the inputs bypassed validation.
+    disagree = np.abs(delta - residual) > RECONSTRUCTION_TOL + coeffs.deviation * np.abs(p_s)
+    if disagree.any():
+        i = int(np.argmax(disagree))
+        raise ConsistencyError(
+            f"perturbation forms disagree at pS={float(p_s[i])!r}, p1={float(p1[i])!r}, "
+            f"p2={float(p2[i])!r}: definition gives {float(delta[i])!r}, "
+            f"residual form gives {float(residual[i])!r}"
+        )
+
+    c1, c2 = coeffs.c1, coeffs.c2
+    w1 = c1 * p1
+    w2 = c2 * p2
+    live = (w1 > 0.0) & (w2 > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(live, delta / (2.0 * np.sqrt(w1 * w2)), np.nan)
+    mag = np.abs(lam)
+    trig = mag < 1.0 - tol
+    hyp = mag > 1.0 + tol
+    kind = np.where(live, BOUNDARY, DEGENERATE).astype(np.int8)
+    kind[trig] = TRIGONOMETRIC
+    kind[hyp] = HYPERBOLIC
+    sign = np.where(hyp, np.where(lam > 0.0, 1, -1), 0).astype(np.int8)
+    theta = np.full(len(lam), np.nan)
+    theta[trig] = list(map(math.acos, lam[trig].tolist()))
+    theta[hyp] = list(map(math.acosh, mag[hyp].tolist()))
+    columns = (p_s, p1, p2, classical, delta, lam, kind, sign, theta)
+    if totals is None:
+        return DecompositionTable(*columns)
+
+    n_s, n_1, n_2 = totals
+    var_s = p_s * (1.0 - p_s) / n_s
+    var_1 = p1 * (1.0 - p1) / n_1
+    var_2 = p2 * (1.0 - p2) / n_2
+    var_diff = var_s + c1 * c1 * var_1 + c2 * c2 * var_2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(var_diff > 0.0, np.abs(residual) / np.sqrt(var_diff), np.nan)
+        g = np.sqrt(c1 * p1 * c2 * p2)
+        d_ps = 1.0 / (2.0 * g)
+        d_p1 = -(c1 / (2.0 * g) + lam / (2.0 * p1))
+        d_p2 = -(c2 / (2.0 * g) + lam / (2.0 * p2))
+        var_lam = d_ps * d_ps * var_s + d_p1 * d_p1 * var_1 + d_p2 * d_p2 * var_2
+        stderr_lambda = np.where(var_lam > 0.0, np.sqrt(var_lam), np.nan)
+        # d(theta)/d(lambda) is 1/sqrt(1 - lam^2) for cos, 1/sqrt(lam^2 - 1) for cosh
+        slope = np.abs(1.0 - lam * lam)
+        phased = (trig | hyp) & (slope > 0.0)
+        stderr_theta = np.where(phased, stderr_lambda / np.sqrt(slope), np.nan)
+    return DecompositionTable(*columns, stderr_lambda, stderr_theta, z)
 
 
 def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceDecomposition:
@@ -253,25 +400,15 @@ def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> Inte
     Raises:
         ValueError: if the model fails validation.
     """
-    violations = validate_model(model)
+    space = model.space
+    dists = (model.dist_s, model.dist_s1, model.dist_s2)
+    violations = validate_space(space) + validate_coefficients(model.coeffs)
+    for dist in dists:
+        violations.extend(validate_coverage(dist, space))
     if violations:
         raise ValueError(
             "cannot decompose an invalid model: " + "; ".join(str(v) for v in violations)
         )
-    coeffs = model.coeffs
-    records: list[BinDecomposition] = []
-    for label in model.space.bins:
-        p_s = model.dist_s.probs[label]
-        p1 = model.dist_s1.probs[label]
-        p2 = model.dist_s2.probs[label]
-        classical = total_probability(coeffs, p1, p2)
-        delta = perturbation_delta(coeffs, p_s, p1, p2)
-        _check_delta_forms(coeffs, p_s, p1, p2, delta)
-        w1 = coeffs.c1 * p1
-        w2 = coeffs.c2 * p2
-        if w1 <= 0.0 or w2 <= 0.0:
-            records.append(BinDecomposition(label, classical, delta, None, Degenerate()))
-            continue
-        lam = delta / (2.0 * math.sqrt(w1 * w2))
-        records.append(BinDecomposition(label, classical, delta, lam, classify(lam, tol)))
-    return InterferenceDecomposition(model.space, coeffs, tol, tuple(records))
+    columns = [np.fromiter((d.probs[b] for b in space.bins), float, len(space)) for d in dists]
+    table = decompose_arrays(model.coeffs, *columns, tol)
+    return InterferenceDecomposition(space, model.coeffs, tol, table)

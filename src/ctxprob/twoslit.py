@@ -28,7 +28,6 @@ branch distributions.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,22 +36,14 @@ import numpy as np
 
 from .core import (
     ContextualDistribution,
-    ContextualModel,
     EnsembleCounts,
     OutcomeSpace,
     SplittingCoefficients,
     Violation,
-    empirical_distribution,
     estimate_splitting,
 )
 from .errors import ScenarioError, ZeroEnsemble
-from .interference import (
-    Boundary,
-    Degenerate,
-    Hyperbolic,
-    Trigonometric,
-    decompose,
-)
+from .interference import BinKind, DecompositionTable, column_values, decompose_arrays
 
 CONTEXT_IDS = ("S", "S1", "S2")
 _CONTEXT_INDEX = {"S": 0, "S1": 1, "S2": 2}
@@ -233,15 +224,30 @@ def _require_valid(scenario: TwoSlitScenario) -> None:
         raise ScenarioError([(v.invariant, v.message) for v in violations])
 
 
-def _pattern_raw(scenario: TwoSlitScenario) -> np.ndarray:
-    p1 = np.asarray(scenario.envelope1, dtype=float)
-    p2 = np.asarray(scenario.envelope2, dtype=float)
-    theta = scenario.phase_table()
-    raw = 0.5 * (p1 + p2 + 2.0 * np.sqrt(p1 * p2) * np.cos(theta))
+def interference_pattern(p1: np.ndarray, p2: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Raw per-bin pattern ``(1/2) * (p1 + p2 + 2*sqrt(p1*p2)*cos(theta))``.
+
+    The values are a squared modulus up to float dust; they are neither
+    clipped at 0 nor renormalized over the grid.
+    """
+    return 0.5 * (p1 + p2 + 2.0 * np.sqrt(p1 * p2) * np.cos(theta))
+
+
+def _pattern(scenario: TwoSlitScenario) -> tuple[np.ndarray, float]:
+    """The renormalized pattern and the grid sum it was divided by."""
+    raw = interference_pattern(
+        np.asarray(scenario.envelope1, dtype=float),
+        np.asarray(scenario.envelope2, dtype=float),
+        scenario.phase_table(),
+    )
     low = float(raw.min())
     if low < -1e-12:
         raise ScenarioError([("pattern", f"negative probability {low!r} in the pattern")])
-    return np.maximum(raw, 0.0)  # clip float dust; the expression is a squared modulus
+    raw = np.maximum(raw, 0.0)  # clip float dust; the expression is a squared modulus
+    total = float(raw.sum())
+    if total <= 0.0:
+        raise ScenarioError([("pattern", "interference pattern sums to zero")])
+    return raw / total, total
 
 
 def pattern_normalization(scenario: TwoSlitScenario) -> float:
@@ -252,15 +258,7 @@ def pattern_normalization(scenario: TwoSlitScenario) -> float:
     truncation.
     """
     _require_valid(scenario)
-    return float(_pattern_raw(scenario).sum())
-
-
-def _pattern_array(scenario: TwoSlitScenario) -> np.ndarray:
-    raw = _pattern_raw(scenario)
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise ScenarioError([("pattern", "interference pattern sums to zero")])
-    return raw / total
+    return _pattern(scenario)[1]
 
 
 def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
@@ -270,7 +268,7 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     and renormalizes the grid sum to 1 (see :func:`pattern_normalization`).
     """
     _require_valid(scenario)
-    pattern = _pattern_array(scenario)
+    pattern, _ = _pattern(scenario)
     labels = scenario.grid.labels()
     return ContextualDistribution("S", dict(zip(labels, (float(p) for p in pattern))))
 
@@ -304,7 +302,7 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
     if which not in CONTEXT_IDS:
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
     _require_valid(scenario)
-    pattern = _pattern_array(scenario)
+    pattern, _ = _pattern(scenario)
     counts = _simulate_counts(scenario, which, run, pattern)
     return EnsembleCounts(
         which,
@@ -331,7 +329,7 @@ class BinEstimate:
     classical: float
     delta: float
     lam: float | None
-    kind: Trigonometric | Hyperbolic | Boundary | Degenerate
+    kind: BinKind
     theta: float | None
     stderr_lambda: float | None
     stderr_theta: float | None
@@ -340,17 +338,71 @@ class BinEstimate:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything estimated from the three ensembles of one experiment."""
+    """Everything estimated from the three ensembles of one experiment.
+
+    The per-bin estimates are the columns of ``table``, in the order of
+    ``labels``; ``x`` holds the bin positions on the detection line, if known.
+    """
 
     counts_s: EnsembleCounts
     counts_s1: EnsembleCounts
     counts_s2: EnsembleCounts
     coeffs: SplittingCoefficients
     coeff_deviation: float
-    bins: tuple[BinEstimate, ...]
+    labels: tuple[str, ...]
+    x: tuple[float | None, ...] | None
+    table: DecompositionTable
     violation_statistic: float
     classification_tol: float
     pattern_normalization: float | None = None
+
+    @property
+    def bins(self) -> tuple[BinEstimate, ...]:
+        """One record per bin, built from :attr:`table` on each access."""
+        t = self.table
+        optional = (t.lam, t.theta, t.stderr_lambda, t.stderr_theta, t.z)
+        lam, theta, se_lam, se_theta, z = map(column_values, optional)
+        rows = zip(
+            self.labels, self.x or (None,) * len(self.labels), t.p_s.tolist(), t.p1.tolist(),
+            t.p2.tolist(), t.classical.tolist(), t.delta.tolist(), lam, t.kinds(), theta,
+            se_lam, se_theta, z,
+        )
+        return tuple(BinEstimate(*row) for row in rows)
+
+
+def _estimate(
+    labels: tuple[str, ...],
+    counts: tuple[EnsembleCounts, EnsembleCounts, EnsembleCounts],
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tol: float,
+    x: tuple[float | None, ...] | None,
+    pattern_normalization: float | None = None,
+) -> ExperimentReport:
+    """The report on three histograms whose counts are ``columns``, by bin position."""
+    counts_s, counts_s1, counts_s2 = counts
+    coeffs, deviation = estimate_splitting(counts_s1, counts_s2, counts_s)
+    totals = tuple(int(c.sum()) for c in columns)
+    for ensemble, total in zip(counts, totals):
+        if total == 0:
+            raise ZeroEnsemble(f"context {ensemble.context_id!r} has zero detected systems")
+    probs = (c / total for c, total in zip(columns, totals))
+    table = decompose_arrays(coeffs, *probs, tol, totals)
+    violation = float(np.max(table.z, initial=0.0, where=~np.isnan(table.z)))
+    return ExperimentReport(
+        *counts, coeffs, deviation, labels, x, table, violation, tol, pattern_normalization
+    )
+
+
+def _positional(counts: EnsembleCounts, labels: tuple[str, ...]) -> np.ndarray:
+    """A histogram's counts in the order of ``labels``, which it must cover exactly."""
+    values = counts.counts
+    if len(values) != len(labels) or values.keys() != set(labels):
+        differences = sorted(set(labels) ^ values.keys())
+        raise ValueError(
+            f"context {counts.context_id!r} counts do not cover the outcome space "
+            f"exactly (first differences: {differences[:5]})"
+        )
+    return np.fromiter(map(values.__getitem__, labels), dtype=np.int64, count=len(labels))
 
 
 def decompose_empirical(
@@ -367,88 +419,18 @@ def decompose_empirical(
     unrenormalized. Standard errors are first-order binomial propagation:
     per-bin probabilities are treated as binomial proportions of their
     context's detected total, and the coefficient estimates as constants
-    (their relative fluctuation is second order here).
+    (their relative fluctuation is second order here). The histograms may
+    list the bins in any order; the report follows ``space``.
 
     Raises:
         ZeroEnsemble: if any context detected nothing.
+        ValueError: if a histogram's bins differ from ``space``, or a count
+            is negative.
     """
-    coeffs, deviation = estimate_splitting(counts_s1, counts_s2, counts_s)
-    dist_s = empirical_distribution(counts_s)
-    dist_s1 = empirical_distribution(counts_s1)
-    dist_s2 = empirical_distribution(counts_s2)
-    model = ContextualModel(space, dist_s, dist_s1, dist_s2, coeffs)
-    decomposition = decompose(model, tol)
-
-    n_s = counts_s.total_detected
-    n_1 = counts_s1.total_detected
-    n_2 = counts_s2.total_detected
-    c1, c2 = coeffs.c1, coeffs.c2
-
-    estimates: list[BinEstimate] = []
-    max_z = 0.0
-    for rec in decomposition.bins:
-        label = rec.bin
-        p_s = dist_s.probs[label]
-        p_1 = dist_s1.probs[label]
-        p_2 = dist_s2.probs[label]
-        var_s = p_s * (1.0 - p_s) / n_s
-        var_1 = p_1 * (1.0 - p_1) / n_1
-        var_2 = p_2 * (1.0 - p_2) / n_2
-
-        diff = p_s - rec.classical_part
-        var_diff = var_s + c1 * c1 * var_1 + c2 * c2 * var_2
-        z = abs(diff) / math.sqrt(var_diff) if var_diff > 0.0 else None
-        if z is not None:
-            max_z = max(max_z, z)
-
-        stderr_lambda = None
-        stderr_theta = None
-        theta = None
-        if rec.lam is not None:
-            g = math.sqrt(c1 * p_1 * c2 * p_2)
-            d_ps = 1.0 / (2.0 * g)
-            d_p1 = -(c1 / (2.0 * g) + rec.lam / (2.0 * p_1))
-            d_p2 = -(c2 / (2.0 * g) + rec.lam / (2.0 * p_2))
-            var_lam = d_ps * d_ps * var_s + d_p1 * d_p1 * var_1 + d_p2 * d_p2 * var_2
-            stderr_lambda = math.sqrt(var_lam) if var_lam > 0.0 else None
-            if isinstance(rec.kind, Trigonometric):
-                theta = rec.kind.theta
-                slope = 1.0 - rec.lam * rec.lam
-                if stderr_lambda is not None and slope > 0.0:
-                    stderr_theta = stderr_lambda / math.sqrt(slope)
-            elif isinstance(rec.kind, Hyperbolic):
-                theta = rec.kind.theta
-                slope = rec.lam * rec.lam - 1.0
-                if stderr_lambda is not None and slope > 0.0:
-                    stderr_theta = stderr_lambda / math.sqrt(slope)
-
-        estimates.append(
-            BinEstimate(
-                bin=label,
-                x=positions.get(label) if positions else None,
-                p_s=p_s,
-                p_1=p_1,
-                p_2=p_2,
-                classical=rec.classical_part,
-                delta=rec.delta,
-                lam=rec.lam,
-                kind=rec.kind,
-                theta=theta,
-                stderr_lambda=stderr_lambda,
-                stderr_theta=stderr_theta,
-                z=z,
-            )
-        )
-    return ExperimentReport(
-        counts_s=counts_s,
-        counts_s1=counts_s1,
-        counts_s2=counts_s2,
-        coeffs=coeffs,
-        coeff_deviation=deviation,
-        bins=tuple(estimates),
-        violation_statistic=max_z,
-        classification_tol=tol,
-    )
+    counts = (counts_s, counts_s1, counts_s2)
+    columns = tuple(_positional(c, space.bins) for c in counts)
+    x = tuple(positions.get(label) for label in space.bins) if positions else None
+    return _estimate(space.bins, counts, columns, tol, x)
 
 
 def run_experiment(
@@ -466,7 +448,7 @@ def run_experiment(
             (for example ``n_emitted = 0``).
     """
     _require_valid(scenario)
-    pattern = _pattern_array(scenario)
+    pattern, raw_total = _pattern(scenario)
     labels = scenario.grid.labels()
 
     tasks = [(which, run) for which in CONTEXT_IDS for run in range(scenario.runs)]
@@ -483,23 +465,13 @@ def run_experiment(
         totals[which] += counts
 
     emitted = scenario.n_emitted * scenario.runs
-    ensembles = {
-        which: EnsembleCounts(
-            which, dict(zip(labels, (int(c) for c in totals[which]))), emitted
-        )
+    ensembles = tuple(
+        EnsembleCounts(which, dict(zip(labels, totals[which].tolist())), emitted)
         for which in CONTEXT_IDS
-    }
-    positions = dict(zip(labels, (float(x) for x in scenario.grid.midpoints())))
-    report = decompose_empirical(
-        scenario.grid.outcome_space(),
-        ensembles["S"],
-        ensembles["S1"],
-        ensembles["S2"],
-        tol=tol,
-        positions=positions,
     )
-    raw_total = float(_pattern_raw(scenario).sum())
-    return dataclasses.replace(report, pattern_normalization=raw_total)
+    columns = tuple(totals[which] for which in CONTEXT_IDS)
+    x = tuple(scenario.grid.midpoints().tolist())
+    return _estimate(labels, ensembles, columns, tol, x, raw_total)
 
 
 def alternative_condition_check(report: ExperimentReport, n_sigma: float) -> tuple[bool, float]:

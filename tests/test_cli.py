@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from ctxprob import cli
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -114,6 +116,12 @@ class TestPattern:
 
 
 class TestSimulate:
+    def test_golden_report_is_reproduced(self, capsys):
+        # Pins the random streams and every per-bin field of the report.
+        code, out, _ = run_cli(capsys, "simulate", str(GOLDENS / "freewave_small.json"))
+        assert code == 0
+        assert out == (GOLDENS / "simulate_freewave_small.json").read_text()
+
     def test_reports_are_byte_identical_across_runs_and_workers(self, capsys, tmp_path):
         scenario = write_scenario(tmp_path)
         outs = []
@@ -178,6 +186,32 @@ class TestAnalyze:
         )
         assert code == 0
         assert out == (GOLDENS / "analyze_freewave.csv").read_text()
+
+    def test_branch_files_in_another_bin_order(self, capsys, tmp_path):
+        # Bins are aligned by label, not by row: reordered branch files give
+        # the same table, in the pooled file's order.
+        paths = [str(GOLDENS / "counts_s.csv")]
+        for name, shuffle in (
+            ("counts_s1.csv", lambda rows: rows[::-1]),
+            ("counts_s2.csv", lambda rows: rows[5:] + rows[:5]),
+        ):
+            header, *rows = (GOLDENS / name).read_text().splitlines()
+            path = tmp_path / name
+            path.write_text("\n".join([header, *shuffle(rows)]) + "\n")
+            paths.append(str(path))
+        code, out, _ = run_cli(capsys, "analyze", *paths)
+        assert code == 0
+        assert out == (GOLDENS / "analyze_freewave.csv").read_text()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        files = [str(GOLDENS / f"counts_{c}.csv") for c in ("s", "s1", "s2")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--tol", tol, "analyze", *files])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
 
     def test_matches_in_process_decomposition(self, capsys, tmp_path):
         scenario = write_scenario(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ctxprob import (
     Boundary,
@@ -25,6 +25,7 @@ from ctxprob import (
     perturbation_delta,
     total_probability,
 )
+from ctxprob.interference import DEGENERATE, decompose_arrays
 
 # Frozen from 50-digit arithmetic on the exact double inputs.
 ACOS_08 = 0.6435011087932843
@@ -338,3 +339,50 @@ class TestDecompose:
                 assert abs(lam) <= 1.0 + 1e-9
             else:
                 assert abs(lam) > 1.0
+
+
+# Per-bin counts: empty bins (degenerate), a handful of counts (sparse bins,
+# where noise makes |lambda| > 1) and well-populated bins.
+bin_counts = st.one_of(st.just(0), st.integers(1, 5), st.integers(0, 10**6))
+
+
+class TestDecomposeArrays:
+    @given(
+        counts=st.lists(st.tuples(bin_counts, bin_counts, bin_counts), min_size=1, max_size=40),
+        tol=st.one_of(st.sampled_from([1e-12, 1e-9, 0.5]), st.floats(1e-12, 0.9)),
+    )
+    def test_matches_scalar_references_exactly(self, counts, tol):
+        columns = [np.array(c, dtype=np.int64) for c in zip(*counts)]
+        totals = [int(c.sum()) for c in columns]
+        assume(all(totals))
+        coeffs = SplittingCoefficients(totals[1] / totals[0], totals[2] / totals[0], empirical=True)
+        # Beyond a sharing deviation of ~1e4 the delta cross-check's 1e-12 slack
+        # is below the rounding of its operands; no experiment gets near that.
+        assume(coeffs.deviation < 100.0)
+        table = decompose_arrays(
+            coeffs, *(c / n for c, n in zip(columns, totals)), tol, tuple(totals)
+        )
+        kinds = table.kinds()
+        for i, (n_s, n_1, n_2) in enumerate(counts):
+            p_s, p1, p2 = n_s / totals[0], n_1 / totals[1], n_2 / totals[2]
+            assert (table.p_s[i], table.p1[i], table.p2[i]) == (p_s, p1, p2)
+            assert table.classical[i] == total_probability(coeffs, p1, p2)
+            assert table.delta[i] == perturbation_delta(coeffs, p_s, p1, p2)
+            try:
+                lam = lambda_coefficient(coeffs, p_s, p1, p2)
+            except DegenerateBranch:
+                assert table.kind[i] == DEGENERATE and math.isnan(table.lam[i])
+                assert kinds[i] == Degenerate()
+                continue
+            assert table.lam[i] == lam
+            assert kinds[i] == classify(lam, tol)
+
+    def test_rejects_a_distribution_that_is_not_normalized(self):
+        p = np.array([0.5, 0.6])
+        with pytest.raises(ValueError, match="invalid model"):
+            decompose_arrays(HALF, p, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+
+    def test_tolerance_must_be_positive(self):
+        p = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="positive"):
+            decompose_arrays(HALF, p, p, p, tol=float("nan"))

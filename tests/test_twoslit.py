@@ -10,12 +10,14 @@ from ctxprob import (
     ExplicitPhase,
     FreeWavePhase,
     GridSpec,
+    OutcomeSpace,
     ScenarioError,
     Trigonometric,
     TwoSlitScenario,
     ZeroEnsemble,
     alternative_condition_check,
     analytic_pattern,
+    decompose_empirical,
     empirical_distribution,
     gaussian_envelope,
     pattern_normalization,
@@ -335,6 +337,18 @@ class TestReportShape:
             assert b.theta is not None and 0.0 <= b.theta <= math.pi
             assert b.stderr_lambda is None or b.stderr_lambda > 0.0
             assert b.z is None or b.z >= 0.0
+
+    def test_histograms_are_aligned_by_label(self):
+        report = run_experiment(gaussian_scenario(n_emitted=2000, seed=8))
+        counts = (report.counts_s, report.counts_s1, report.counts_s2)
+        shuffled = dataclasses.replace(
+            report.counts_s1, counts=dict(reversed(report.counts_s1.counts.items()))
+        )
+        space = OutcomeSpace(report.labels)
+        aligned = decompose_empirical(space, *counts)
+        assert decompose_empirical(space, counts[0], shuffled, counts[2]) == aligned
+        with pytest.raises(ValueError, match="do not cover"):
+            decompose_empirical(OutcomeSpace(report.labels[1:]), *counts)
 
     def test_invalid_scenario_raises_scenario_error(self):
         sc = dataclasses.replace(gaussian_scenario(), runs=0)
