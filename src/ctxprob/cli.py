@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .twoslit import (
     run_experiment,
     table_envelope,
     uniform_envelope,
+    validate_grid,
     validate_scenario,
 )
 
@@ -204,14 +206,11 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
         bins = _get(grid_doc, "grid", "bins", int, errors)
         x_min = _get(grid_doc, "grid", "x_min", float, errors)
         x_max = _get(grid_doc, "grid", "x_max", float, errors)
-        if bins is not None and bins < 1:
-            errors.add("grid.bins", f"need at least 1 bin, got {bins!r}")
-            bins = None
-        if None not in (x_min, x_max) and not x_max > x_min:
-            errors.add("grid.range", f"x_max {x_max!r} must exceed x_min {x_min!r}")
-            x_min = None
         if None not in (bins, x_min, x_max):
             grid = GridSpec(bins, x_min, x_max)
+            for v in validate_grid(grid):
+                errors.add(v.invariant, v.message)
+                grid = None
 
     env_doc = _get(doc, "", "envelopes", dict, errors)
     env1 = env2 = None
@@ -242,12 +241,16 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
 
 
 def load_scenario(path: str) -> TwoSlitScenario:
+    def reject_constant(name: str):
+        # Python's json reads NaN, Infinity and -Infinity; JSON has no such numbers.
+        raise ScenarioError([(path, f"{name} is not a finite number")])
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError([(path, f"cannot read scenario file: {exc}")])
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioError([(path, f"invalid JSON: {exc}")])
     return parse_scenario(doc)
@@ -337,9 +340,103 @@ def report_document(report: ExperimentReport) -> dict:
     }
 
 
+# JSON text of each plain scalar type; floats must be finite (see _column).
+_SCALARS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _column(values) -> list[str] | None:
+    """The JSON text of each value, or None unless all are plain finite scalars."""
+    types = set(map(type, values))
+    if not types <= _SCALARS.keys():
+        return None
+    if float in types:
+        floats = values if len(types) == 1 else [v for v in values if type(v) is float]
+        if not all(map(math.isfinite, floats)):
+            return None
+    if len(types) == 1:
+        return list(map(_SCALARS[types.pop()], values))
+    return [_SCALARS[type(v)](v) for v in values]
+
+
+def _records(rows, pad: str) -> str | None:
+    """A list of flat dicts sharing one key set, rendered a key at a time, or None."""
+    first = rows[0]
+    if type(first) is not dict or not first or not all(type(k) is str for k in first):
+        return None
+    keys = first.keys()
+    if not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    names = sorted(first)
+    columns = [_column([row[name] for row in rows]) for name in names]
+    if None in columns:
+        return None
+    inner = pad + "  "
+    fields = (",\n" + inner).join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names
+    )
+    row = "{\n" + inner + fields + "\n" + pad + "}"
+    return (",\n" + pad).join(map(row.__mod__, zip(*columns)))
+
+
+def _render(value, pad: str, out: list[str]) -> None:
+    """Append the text of ``value``, indented at ``pad``, to ``out``."""
+    inner = pad + "  "
+    kind = type(value)
+    if kind is dict and value and all(type(k) is str for k in value):
+        keys = sorted(value)
+        names = [encode_basestring_ascii(k) + ": " for k in keys]
+        column = _column([value[k] for k in keys])
+        out.append("{\n" + inner)
+        if column is not None:
+            out.append((",\n" + inner).join(map(str.__add__, names, column)))
+        else:
+            for i, (name, key) in enumerate(zip(names, keys)):
+                out.append(",\n" + inner + name if i else name)
+                _render(value[key], inner, out)
+        out.append("\n" + pad + "}")
+    elif (kind is list or kind is tuple) and value:
+        column = _column(value)
+        rows = (",\n" + inner).join(column) if column is not None else _records(value, inner)
+        out.append("[\n" + inner)
+        if rows is not None:
+            out.append(rows)
+        else:
+            for i, item in enumerate(value):
+                if i:
+                    out.append(",\n" + inner)
+                _render(item, inner, out)
+        out.append("\n" + pad + "]")
+    else:
+        column = _column((value,))
+        if column is not None:
+            out.append(column[0])
+        else:
+            # Empty containers, non-str keys, subclasses, non-finite floats and
+            # unserializable objects: json's own text (or error), re-indented.
+            # JSON strings never hold a raw newline, so the replace is exact.
+            text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+            out.append(text.replace("\n", "\n" + pad))
+
+
 def render_json(doc: dict) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON rendering: sorted keys, two-space indent, newline.
+
+    The text equals ``json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, and a non-finite float raises the same
+    ``ValueError``. With ``indent`` set, ``json.dumps`` encodes value by value
+    in Python; here a run of plain scalars (a list, a dict's values, one key
+    across a list of flat records) is rendered as one column.
+    """
+    out: list[str] = []
+    _render(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def simulation_document(scenario: TwoSlitScenario, report: ExperimentReport) -> dict:
@@ -498,6 +595,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctxprob",
@@ -518,7 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the Monte Carlo experiment")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", default=None, help="report file (default: stdout)")
-    p.add_argument("--workers", type=int, default=1, help="thread count for (context, run) tasks")
+    p.add_argument(
+        "--workers", type=_workers, default=1, help="thread count for (context, run) tasks (>= 1)"
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="decompose three count histograms")
@@ -546,3 +652,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -166,20 +166,32 @@ def table_envelope(values) -> tuple[float, ...]:
     return tuple(p / total for p in v)
 
 
-def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
+def validate_grid(grid: GridSpec) -> list[Violation]:
     out: list[Violation] = []
-    grid = scenario.grid
     if grid.bins < 1:
         out.append(Violation("grid.bins", f"need at least 1 bin, got {grid.bins!r}"))
-    if not grid.x_max > grid.x_min:
+    if not (math.isfinite(grid.x_min) and math.isfinite(grid.x_max)):
+        out.append(
+            Violation("grid.range", f"x_min {grid.x_min!r} and x_max {grid.x_max!r} must be finite")
+        )
+    elif not grid.x_max > grid.x_min:
         out.append(
             Violation("grid.range", f"x_max {grid.x_max!r} must exceed x_min {grid.x_min!r}")
         )
+    return out
+
+
+def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
+    grid = scenario.grid
+    out = validate_grid(grid)
     for name, env in (("envelope1", scenario.envelope1), ("envelope2", scenario.envelope2)):
         if len(env) != grid.bins:
             out.append(
                 Violation(f"{name}.length", f"{len(env)} values for {grid.bins} bins")
             )
+            continue
+        if not all(map(math.isfinite, env)):
+            out.append(Violation(f"{name}.finite", "envelope has non-finite entries"))
             continue
         if any(p < 0.0 for p in env):
             out.append(Violation(f"{name}.nonnegative", "envelope has negative entries"))
@@ -211,6 +223,14 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
             out.append(Violation("phase.momenta", "momenta must be finite"))
     if scenario.n_emitted < 0:
         out.append(Violation("sampling.n_emitted", f"must be >= 0, got {scenario.n_emitted!r}"))
+    elif scenario.n_emitted * scenario.runs >= 2**63:
+        # The per-context totals are int64 counts.
+        out.append(
+            Violation(
+                "sampling.n_emitted",
+                f"n_emitted * runs must be below 2**63, got {scenario.n_emitted * scenario.runs!r}",
+            )
+        )
     if scenario.runs < 1:
         out.append(Violation("sampling.runs", f"must be >= 1, got {scenario.runs!r}"))
     if not (0 <= scenario.seed < 2**64):

@@ -1,12 +1,18 @@
+import collections
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from ctxprob import cli
+from ctxprob import ScenarioError, cli
 
 GOLDENS = Path(__file__).parent / "goldens"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -15,17 +21,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SCENARIO = {
+    "grid": {"bins": 16, "x_min": -4.0, "x_max": 4.0},
+    "envelopes": {
+        "slit1": {"kind": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "slit2": {"kind": "gaussian", "mean": 0.0, "sigma": 1.0},
+    },
+    "phase": {"kind": "freewave", "p1": 2.5, "p2": -2.5, "h": 1.0},
+    "sampling": {"n_emitted": 2000, "runs": 1, "seed": 42},
+}
+
+
 def write_scenario(tmp_path, name="scenario.json", **overrides):
-    doc = {
-        "grid": {"bins": 16, "x_min": -4.0, "x_max": 4.0},
-        "envelopes": {
-            "slit1": {"kind": "gaussian", "mean": 0.0, "sigma": 1.0},
-            "slit2": {"kind": "gaussian", "mean": 0.0, "sigma": 1.0},
-        },
-        "phase": {"kind": "freewave", "p1": 2.5, "p2": -2.5, "h": 1.0},
-        "sampling": {"n_emitted": 2000, "runs": 1, "seed": 42},
-    }
-    doc.update(overrides)
+    doc = {**SCENARIO, **overrides}
     path = tmp_path / name
     path.write_text(json.dumps(doc) + "\n")
     return str(path)
@@ -139,6 +147,47 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", scenario)
         assert code == 0
         assert cli.render_json(json.loads(out)) == out
+
+    @pytest.mark.parametrize("constant, overrides", [
+        ("NaN", {"envelopes": {
+            "slit1": {"kind": "gaussian", "mean": 0.0, "sigma": math.nan},
+            "slit2": {"kind": "uniform"},
+        }}),
+        ("-Infinity", {"grid": {"bins": 16, "x_min": -math.inf, "x_max": 4.0}}),
+    ])
+    def test_non_finite_constants_exit_2(self, capsys, tmp_path, constant, overrides):
+        path = write_scenario(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert f"error: {path}: {constant} is not a finite number" in err
+
+    def test_non_finite_values_from_library_callers(self):
+        grid = {"bins": 16, "x_min": -4.0, "x_max": math.inf}
+        with pytest.raises(ScenarioError) as exc:
+            cli.parse_scenario({**SCENARIO, "grid": grid})
+        assert [p for p, _ in exc.value.problems] == ["grid.range"]
+        envelopes = {"slit1": {"kind": "gaussian", "mean": 0.0, "sigma": math.nan},
+                     "slit2": {"kind": "uniform"}}
+        with pytest.raises(ScenarioError) as exc:
+            cli.parse_scenario({**SCENARIO, "envelopes": envelopes})
+        assert [p for p, _ in exc.value.problems] == ["envelope1.finite"]
+
+    @pytest.mark.parametrize("n_emitted, runs", [(10**20, 1), (2**62, 2)])
+    def test_emissions_beyond_int64_exit_2(self, capsys, tmp_path, n_emitted, runs):
+        path = write_scenario(tmp_path, sampling={"n_emitted": n_emitted, "runs": runs, "seed": 1})
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert code == 2 and out == ""
+        assert "error: sampling.n_emitted: n_emitted * runs must be below 2**63" in err
+
+    @pytest.mark.parametrize("workers", ["-3", "0", "two"])
+    def test_workers_must_be_a_positive_integer(self, capsys, tmp_path, workers):
+        path = write_scenario(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", path, "--workers", workers])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --workers:" in captured.err
 
     def test_zero_emissions_exit_3(self, capsys, tmp_path):
         scenario = write_scenario(
@@ -364,3 +413,92 @@ class TestAnalyze:
         assert code == 0
         kinds = [r.split(",")[6] for r in out.strip().splitlines()[1:] if not r.startswith("#")]
         assert set(kinds) == {"boundary"}
+
+
+def canonical(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+TEXT = st.text(max_size=6) | st.sampled_from(["%", "%s", '"', "\n", "é", "∑ %d\n"])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e300])
+SCALARS = FLOATS | st.integers() | st.booleans() | st.none() | TEXT
+
+
+@st.composite
+def record_lists(draw, children):
+    """Flat records sharing a key set, sometimes with one record that is not flat."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: SCALARS for k in keys}), min_size=1, max_size=5))
+    odd = rows[draw(st.integers(0, len(rows) - 1))]
+    change = draw(st.sampled_from(["none", "extra key", "renamed key", "nested value"]))
+    if change in ("extra key", "renamed key"):
+        odd["".join(keys) + "!"] = odd.pop(keys[0]) if change == "renamed key" else draw(SCALARS)
+    elif change == "nested value":
+        odd[keys[0]] = draw(children)
+    return rows
+
+
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+        | record_lists(children)
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderJson:
+    @given(DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert cli.render_json(doc) == canonical(doc)
+
+    def test_leaves_json_renders_itself(self):
+        class Number(float):
+            pass
+
+        doc = {
+            "int keys": {2: [0.5, None], 1: {"x": -0.0}},
+            "ordered": [collections.OrderedDict(b=1, a=[2, "%"])],
+            "subclass": [Number(1.5), 2.0],
+            "empty": [[], {}, ()],
+        }
+        assert cli.render_json(doc) == canonical(doc)
+        with pytest.raises(TypeError):
+            cli.render_json({"a": [1, object()]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [
+        lambda v: [1.0, v, 2.0],
+        lambda v: {"a": None, "b": v},
+        lambda v: [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": v}],
+        lambda v: {"a": [{"b": [v]}, "text"]},
+    ], ids=["float column", "none/float column", "record column", "nested leaf"])
+    def test_non_finite_floats_raise_as_json_does(self, bad, where):
+        doc = where(bad)
+        with pytest.raises(ValueError) as expected:
+            canonical(doc)
+        with pytest.raises(ValueError) as raised:
+            cli.render_json(doc)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])
+def test_python_m_runs_the_cli(module):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    golden = GOLDENS / "classical_small.json"
+    done = subprocess.run(
+        [sys.executable, "-m", module, "pattern", str(golden)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (GOLDENS / "pattern_classical.csv").read_text()
+    done = subprocess.run(
+        [sys.executable, "-m", module, "pattern", "no_such_scenario.json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "error: no_such_scenario.json:" in done.stderr

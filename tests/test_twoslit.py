@@ -62,6 +62,23 @@ class TestScenarioValidation:
         names = {v.invariant for v in validate_scenario(sc)}
         assert {"sampling.n_emitted", "sampling.runs", "sampling.seed"} <= names
 
+    def test_sampling_total_must_fit_int64(self):
+        sc = dataclasses.replace(gaussian_scenario(), n_emitted=2**62, runs=2)
+        assert [v.invariant for v in validate_scenario(sc)] == ["sampling.n_emitted"]
+        with pytest.raises(ScenarioError):
+            run_experiment(sc)
+
+    def test_non_finite_grid_and_envelopes(self):
+        sc = gaussian_scenario()
+        sc = dataclasses.replace(
+            sc,
+            grid=GridSpec(sc.grid.bins, -math.inf, 4.0),
+            envelope1=(math.nan,) + sc.envelope1[1:],
+            envelope2=(math.inf,) + sc.envelope2[1:],
+        )
+        names = {v.invariant for v in validate_scenario(sc)}
+        assert names == {"grid.range", "envelope1.finite", "envelope2.finite"}
+
     def test_freewave_scaling_must_be_positive(self):
         sc = gaussian_scenario(phase=FreeWavePhase(1.0, -1.0, 0.0))
         assert any(v.invariant == "phase.scaling" for v in validate_scenario(sc))
