@@ -30,9 +30,7 @@ from .errors import (
     ZeroEnsemble,
 )
 from .interference import (
-    BinDecomposition,
     Boundary,
-    Degenerate,
     Hyperbolic,
     InterferenceDecomposition,
     InterferenceKind,
@@ -55,7 +53,6 @@ from .amplitudes import (
     synthesize_wave,
 )
 from .twoslit import (
-    BinEstimate,
     ExperimentReport,
     ExplicitPhase,
     FreeWavePhase,
@@ -83,8 +80,8 @@ __all__ = [
     "ContextualError", "ZeroEnsemble", "DegenerateBranch", "OutOfRange",
     "NormalizationError", "ConsistencyError", "ScenarioError",
     # interference
-    "Trigonometric", "Hyperbolic", "Boundary", "Degenerate", "InterferenceKind",
-    "BinDecomposition", "InterferenceDecomposition",
+    "Trigonometric", "Hyperbolic", "Boundary", "InterferenceKind",
+    "InterferenceDecomposition",
     "total_probability", "perturbation_delta", "lambda_coefficient",
     "classify", "decompose", "forward_trig", "forward_hyp",
     # amplitudes
@@ -92,7 +89,7 @@ __all__ = [
     "synthesize_wave", "synthesize_two_slit_wave", "synthesize_hyperbolic",
     # two-slit simulator
     "GridSpec", "ExplicitPhase", "FreeWavePhase", "TwoSlitScenario",
-    "BinEstimate", "ExperimentReport",
+    "ExperimentReport",
     "gaussian_envelope", "uniform_envelope", "table_envelope",
     "validate_scenario", "analytic_pattern", "pattern_normalization",
     "simulate_context", "run_experiment", "decompose_empirical",

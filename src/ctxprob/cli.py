@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts, OutcomeSpace
-from .interference import KIND_LABELS, column_values
+from .interference import KIND_LABELS
 from .twoslit import (
     ExperimentReport,
     ExplicitPhase,
@@ -45,8 +45,8 @@ from .twoslit import (
     run_experiment,
     table_envelope,
     uniform_envelope,
+    _require_valid,
     validate_grid,
-    validate_scenario,
 )
 
 EXIT_OK = 0
@@ -71,6 +71,11 @@ def fmt15(value: float) -> str:
     return format(value, ".15g")
 
 
+def _values(column: np.ndarray) -> list[float | None]:
+    """A column as Python floats, with None where it holds NaN."""
+    return [None if v != v else v for v in column.tolist()]
+
+
 def _opt_column(column: np.ndarray) -> list[str]:
     """:func:`fmt15` of every value in a column, with an empty cell for NaN."""
     return ["" if v != v else "%.15g" % v for v in column.tolist()]
@@ -80,54 +85,38 @@ def _opt_column(column: np.ndarray) -> list[str]:
 # Scenario files
 # ---------------------------------------------------------------------------
 
-class _FieldErrors:
-    def __init__(self) -> None:
-        self.problems: list[tuple[str, str]] = []
+# Per field kind: the accepted JSON types and the noun of the error message.
+# A bool is an int in Python, but never a number or an integer here.
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    dict: (dict, "an object"),
+    list: (list, "an array"),
+    str: (str, "a string"),
+}
 
-    def add(self, path: str, message: str) -> None:
-        self.problems.append((path, message))
 
-    def raise_if_any(self) -> None:
-        if self.problems:
-            raise ScenarioError(self.problems)
-
-
-def _get(doc: dict, path: str, key: str, kind, errors: _FieldErrors, default=None, required=True):
+def _get(doc: dict, path: str, key: str, kind, errors: list, default=None, required=True):
     here = f"{path}.{key}" if path else key
     if key not in doc:
         if required:
-            errors.add(here, "missing")
+            errors.append((here, "missing"))
         return default
     value = doc[key]
+    accepted, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        errors.append((here, f"expected {noun}, got {value!r}"))
+        return default
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.add(here, f"expected a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            errors.append((here, "integer too large for a float"))
             return default
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.add(here, f"expected an integer, got {value!r}")
-            return default
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            errors.add(here, f"expected an object, got {value!r}")
-            return default
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            errors.add(here, f"expected an array, got {value!r}")
-            return default
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            errors.add(here, f"expected a string, got {value!r}")
-            return default
-        return value
-    raise AssertionError(kind)
+    return value
 
 
-def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: _FieldErrors):
+def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: list):
     kind = _get(doc, path, "kind", str, errors)
     if kind is None:
         return None
@@ -135,14 +124,14 @@ def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: _FieldE
         mean = _get(doc, path, "mean", float, errors)
         sigma = _get(doc, path, "sigma", float, errors)
         if sigma is not None and sigma <= 0.0:
-            errors.add(f"{path}.sigma", f"must be positive, got {sigma!r}")
+            errors.append((f"{path}.sigma", f"must be positive, got {sigma!r}"))
             return None
         if None in (mean, sigma) or grid is None:
             return None
         try:
             return gaussian_envelope(grid, mean, sigma)
         except ValueError as exc:
-            errors.add(path, str(exc))
+            errors.append((path, str(exc)))
             return None
     if kind == "uniform":
         return uniform_envelope(grid) if grid is not None else None
@@ -151,18 +140,18 @@ def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: _FieldE
         if values is None:
             return None
         if grid is not None and len(values) != grid.bins:
-            errors.add(f"{path}.values", f"{len(values)} values for {grid.bins} bins")
+            errors.append((f"{path}.values", f"{len(values)} values for {grid.bins} bins"))
             return None
         try:
             return table_envelope(values)
-        except (TypeError, ValueError) as exc:
-            errors.add(f"{path}.values", str(exc))
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append((f"{path}.values", str(exc)))
             return None
-    errors.add(f"{path}.kind", f"unknown envelope kind {kind!r}")
+    errors.append((f"{path}.kind", f"unknown envelope kind {kind!r}"))
     return None
 
 
-def _parse_phase(doc: dict, grid: GridSpec | None, errors: _FieldErrors):
+def _parse_phase(doc: dict, grid: GridSpec | None, errors: list):
     kind = _get(doc, "phase", "kind", str, errors)
     if kind is None:
         return None
@@ -171,12 +160,12 @@ def _parse_phase(doc: dict, grid: GridSpec | None, errors: _FieldErrors):
         if values is None:
             return None
         if grid is not None and len(values) != grid.bins:
-            errors.add("phase.values", f"{len(values)} values for {grid.bins} bins")
+            errors.append(("phase.values", f"{len(values)} values for {grid.bins} bins"))
             return None
         try:
             return ExplicitPhase(tuple(values))
-        except (TypeError, ValueError) as exc:
-            errors.add("phase.values", str(exc))
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append(("phase.values", str(exc)))
             return None
     if kind == "freewave":
         p1 = _get(doc, "phase", "p1", float, errors)
@@ -185,7 +174,7 @@ def _parse_phase(doc: dict, grid: GridSpec | None, errors: _FieldErrors):
         if None in (p1, p2, h):
             return None
         return FreeWavePhase(p1, p2, h)
-    errors.add("phase.kind", f"unknown phase kind {kind!r}")
+    errors.append(("phase.kind", f"unknown phase kind {kind!r}"))
     return None
 
 
@@ -195,10 +184,9 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
     Raises:
         ScenarioError: with one (field, message) pair per problem.
     """
-    errors = _FieldErrors()
     if not isinstance(doc, dict):
-        errors.add("", f"expected a JSON object, got {doc!r}")
-        errors.raise_if_any()
+        raise ScenarioError([("", f"expected a JSON object, got {doc!r}")])
+    errors: list[tuple[str, str]] = []
 
     grid_doc = _get(doc, "", "grid", dict, errors)
     grid = None
@@ -208,8 +196,9 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
         x_max = _get(grid_doc, "grid", "x_max", float, errors)
         if None not in (bins, x_min, x_max):
             grid = GridSpec(bins, x_min, x_max)
-            for v in validate_grid(grid):
-                errors.add(v.invariant, v.message)
+            violations = validate_grid(grid)
+            errors.extend((v.invariant, v.message) for v in violations)
+            if violations:
                 grid = None
 
     env_doc = _get(doc, "", "envelopes", dict, errors)
@@ -232,11 +221,10 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
         runs = _get(sampling, "sampling", "runs", int, errors, default=1, required=False)
         seed = _get(sampling, "sampling", "seed", int, errors, default=0, required=False)
 
-    errors.raise_if_any()
+    if errors:
+        raise ScenarioError(errors)
     scenario = TwoSlitScenario(grid, env1, env2, phase, n_emitted, runs, seed)
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioError([(v.invariant, v.message) for v in violations])
+    _require_valid(scenario)
     return scenario
 
 
@@ -247,11 +235,11 @@ def load_scenario(path: str) -> TwoSlitScenario:
 
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([(path, f"cannot read scenario file: {exc}")])
     try:
         doc = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer beyond Python's digit limit
         raise ScenarioError([(path, f"invalid JSON: {exc}")])
     return parse_scenario(doc)
 
@@ -309,13 +297,13 @@ def _bin_documents(report: ExperimentReport) -> list[dict]:
         "p_2": t.p2.tolist(),
         "classical": t.classical.tolist(),
         "delta": t.delta.tolist(),
-        "lambda": column_values(t.lam),
+        "lambda": _values(t.lam),
         "kind": [KIND_LABELS[k] for k in t.kind.tolist()],
         "sign": [s or None for s in t.sign.tolist()],
-        "theta": column_values(t.theta),
-        "stderr_lambda": column_values(t.stderr_lambda),
-        "stderr_theta": column_values(t.stderr_theta),
-        "z": column_values(t.z),
+        "theta": _values(t.theta),
+        "stderr_lambda": _values(t.stderr_lambda),
+        "stderr_theta": _values(t.stderr_theta),
+        "z": _values(t.z),
     }
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
@@ -490,13 +478,13 @@ def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
     """Read a ``bin,count`` histogram file.
 
     Raises:
-        ScenarioError: on missing file, bad header, duplicate bins, or
-            malformed counts.
+        ScenarioError: on missing file, bad header, duplicate bins,
+            malformed counts, or a total of 2**63 or more.
     """
     problems: list[tuple[str, str]] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([(path, f"cannot read counts file: {exc}")])
     reader = csv.reader(text.splitlines())
     rows = [row for row in reader if row]
@@ -525,6 +513,9 @@ def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
     if not counts:
         raise ScenarioError([(path, "no data rows")])
     total = sum(counts.values())
+    if total >= 2**63:
+        # The counts are summed and decomposed as int64 arrays.
+        raise ScenarioError([(path, f"counts sum to {total}, which must be below 2**63")])
     return EnsembleCounts(context_id, counts, total)
 
 

@@ -92,32 +92,12 @@ class Boundary:
     """``|lambda| = 1`` within tolerance: both regimes meet, no phase assigned."""
 
 
-@dataclass(frozen=True, slots=True)
-class Degenerate:
-    """Marker for bins where lambda is undefined (some ``c_j * p_j`` is zero)."""
-
-
 InterferenceKind = Trigonometric | Hyperbolic | Boundary
-BinKind = Trigonometric | Hyperbolic | Boundary | Degenerate
 
 #: Codes of :attr:`DecompositionTable.kind`, indexing :data:`KIND_LABELS`.
+#: A bin is degenerate where lambda is undefined (some ``c_j * p_j`` is zero).
 DEGENERATE, TRIGONOMETRIC, HYPERBOLIC, BOUNDARY = range(4)
 KIND_LABELS = ("degenerate", "trigonometric", "hyperbolic", "boundary")
-
-
-@dataclass(frozen=True, slots=True)
-class BinDecomposition:
-    """Interference decomposition of the pooled probability at one bin.
-
-    ``classical_part`` is the mixture term ``c1*p1 + c2*p2``; ``lam`` is None
-    exactly when ``kind`` is Degenerate.
-    """
-
-    bin: str
-    classical_part: float
-    delta: float
-    lam: float | None
-    kind: BinKind
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +105,8 @@ class DecompositionTable:
     """Per-bin decomposition as columns indexed by bin position.
 
     ``kind`` holds codes into :data:`KIND_LABELS`; ``sign`` is the sign of
-    hyperbolic bins, 0 elsewhere. NaN marks an undefined value (None in the
-    per-bin records). The last three columns need detection totals.
+    hyperbolic bins, 0 elsewhere. NaN marks an undefined value. The last
+    three columns need detection totals.
     """
 
     p_s: np.ndarray
@@ -148,44 +128,15 @@ class DecompositionTable:
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return all(a is b or np.array_equal(a, b, equal_nan=True) for a, b in pairs)
 
-    def kinds(self) -> list[BinKind]:
-        """The per-bin classification records."""
-        out: list[BinKind] = []
-        for code, theta, sign in zip(self.kind.tolist(), self.theta.tolist(), self.sign.tolist()):
-            if code == TRIGONOMETRIC:
-                out.append(Trigonometric(theta))
-            elif code == HYPERBOLIC:
-                out.append(Hyperbolic(theta, sign))
-            else:
-                out.append(Boundary() if code == BOUNDARY else Degenerate())
-        return out
-
-
-def column_values(column: np.ndarray) -> list[float | None]:
-    """A column as Python floats, with None where it holds NaN."""
-    return [None if v != v else v for v in column.tolist()]
-
 
 @dataclass(frozen=True)
 class InterferenceDecomposition:
-    """Per-bin decomposition of a contextual model."""
+    """Per-bin decomposition of a contextual model, in the order of ``space.bins``."""
 
     space: OutcomeSpace
     coeffs: SplittingCoefficients
     tol: float
     table: DecompositionTable
-
-    @property
-    def bins(self) -> tuple[BinDecomposition, ...]:
-        """One record per bin, built from :attr:`table` on each access."""
-        t = self.table
-        rows = zip(
-            self.space.bins, t.classical.tolist(), t.delta.tolist(), column_values(t.lam), t.kinds()
-        )
-        return tuple(BinDecomposition(*row) for row in rows)
-
-    def by_bin(self) -> dict[str, BinDecomposition]:
-        return {rec.bin: rec for rec in self.bins}
 
 
 def total_probability(coeffs: SplittingCoefficients, p1: float, p2: float) -> float:
@@ -311,8 +262,8 @@ def decompose_arrays(
     :func:`classify` bit for bit: the float operations are the same, and the
     phases come from ``math.acos``/``math.acosh``, which numpy's SIMD
     versions do not always match in the last bit. Bins where ``c1*p1`` or
-    ``c2*p2`` vanishes are Degenerate. Exact and empirical coefficients are
-    both accepted; the caller validates them.
+    ``c2*p2`` vanishes get the code :data:`DEGENERATE`. Exact and empirical
+    coefficients are both accepted; the caller validates them.
 
     Given the detected totals ``(N, N1, N2)`` behind the probabilities, it
     also computes first-order binomial standard errors of lambda and theta
@@ -388,9 +339,9 @@ def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> Inte
 
     Each bin yields the classical mixture part, the perturbation, the
     normalized coefficient and its classification. Bins where a weighted
-    branch probability vanishes are marked Degenerate instead of aborting
-    the whole decomposition; real envelopes vanish in their tails and
-    whole-screen analysis must survive that.
+    branch probability vanishes are marked :data:`DEGENERATE` instead of
+    aborting the whole decomposition; real envelopes vanish in their tails
+    and whole-screen analysis must survive that.
 
     For models with exact coefficients the reconstruction identity
     ``classical_part + 2*sqrt(c1*p1*c2*p2)*lambda = pS`` holds within 1e-12

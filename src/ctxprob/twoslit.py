@@ -43,7 +43,7 @@ from .core import (
     estimate_splitting,
 )
 from .errors import ScenarioError, ZeroEnsemble
-from .interference import BinKind, DecompositionTable, column_values, decompose_arrays
+from .interference import DecompositionTable, decompose_arrays
 
 CONTEXT_IDS = ("S", "S1", "S2")
 _CONTEXT_INDEX = {"S": 0, "S1": 1, "S2": 2}
@@ -53,6 +53,9 @@ _CONTEXT_INDEX = {"S": 0, "S1": 1, "S2": 2}
 BRANCH_ACCEPTANCE = 0.5
 
 ENVELOPE_SUM_TOL = 1e-9
+
+#: Largest grid accepted: the envelopes and the report hold several values per bin.
+MAX_BINS = 2**24
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,8 +171,8 @@ def table_envelope(values) -> tuple[float, ...]:
 
 def validate_grid(grid: GridSpec) -> list[Violation]:
     out: list[Violation] = []
-    if grid.bins < 1:
-        out.append(Violation("grid.bins", f"need at least 1 bin, got {grid.bins!r}"))
+    if not 1 <= grid.bins <= MAX_BINS:
+        out.append(Violation("grid.bins", f"need 1 to {MAX_BINS} bins, got {grid.bins!r}"))
     if not (math.isfinite(grid.x_min) and math.isfinite(grid.x_max)):
         out.append(
             Violation("grid.range", f"x_min {grid.x_min!r} and x_max {grid.x_max!r} must be finite")
@@ -177,6 +180,10 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
     elif not grid.x_max > grid.x_min:
         out.append(
             Violation("grid.range", f"x_max {grid.x_max!r} must exceed x_min {grid.x_min!r}")
+        )
+    elif not math.isfinite(grid.x_max - grid.x_min):
+        out.append(
+            Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}")
         )
     return out
 
@@ -204,23 +211,20 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
                     value=total,
                 )
             )
-    if isinstance(scenario.phase, ExplicitPhase):
-        if len(scenario.phase.values) != grid.bins:
-            out.append(
-                Violation(
-                    "phase.length",
-                    f"{len(scenario.phase.values)} phases for {grid.bins} bins",
-                )
-            )
-        if any(not math.isfinite(v) for v in scenario.phase.values):
-            out.append(Violation("phase.finite", "phase table has non-finite entries"))
-    else:
-        if scenario.phase.scaling <= 0.0:
-            out.append(
-                Violation("phase.scaling", f"scaling must be positive, got {scenario.phase.scaling!r}")
-            )
-        if not (math.isfinite(scenario.phase.momentum1) and math.isfinite(scenario.phase.momentum2)):
-            out.append(Violation("phase.momenta", "momenta must be finite"))
+    phase = scenario.phase
+    if isinstance(phase, ExplicitPhase) and len(phase.values) != grid.bins:
+        out.append(Violation("phase.length", f"{len(phase.values)} phases for {grid.bins} bins"))
+    elif isinstance(phase, FreeWavePhase) and not 0.0 < phase.scaling < math.inf:
+        out.append(
+            Violation("phase.scaling", f"scaling must be finite and positive, got {phase.scaling!r}")
+        )
+    elif not out:
+        # Evaluated only once the grid and the envelopes are valid. Free-wave
+        # phases overflow where momenta, positions and scaling multiply out of range.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = bool(np.isfinite(scenario.phase_table()).all())
+        if not finite:
+            out.append(Violation("phase.finite", "theta(x) has non-finite entries"))
     if scenario.n_emitted < 0:
         out.append(Violation("sampling.n_emitted", f"must be >= 0, got {scenario.n_emitted!r}"))
     elif scenario.n_emitted * scenario.runs >= 2**63:
@@ -331,31 +335,6 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
     )
 
 
-@dataclass(frozen=True, slots=True)
-class BinEstimate:
-    """Empirical decomposition of one bin, with binomial standard errors.
-
-    ``z`` measures ``|p_s - (c1*p_1 + c2*p_2)|`` in standard-error units.
-    ``theta`` is the phase recovered from the bin's classification; it and
-    the standard errors are None where undefined (degenerate or boundary
-    bins, or zero-variance corners).
-    """
-
-    bin: str
-    x: float | None
-    p_s: float
-    p_1: float
-    p_2: float
-    classical: float
-    delta: float
-    lam: float | None
-    kind: BinKind
-    theta: float | None
-    stderr_lambda: float | None
-    stderr_theta: float | None
-    z: float | None
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     """Everything estimated from the three ensembles of one experiment.
@@ -375,19 +354,6 @@ class ExperimentReport:
     violation_statistic: float
     classification_tol: float
     pattern_normalization: float | None = None
-
-    @property
-    def bins(self) -> tuple[BinEstimate, ...]:
-        """One record per bin, built from :attr:`table` on each access."""
-        t = self.table
-        optional = (t.lam, t.theta, t.stderr_lambda, t.stderr_theta, t.z)
-        lam, theta, se_lam, se_theta, z = map(column_values, optional)
-        rows = zip(
-            self.labels, self.x or (None,) * len(self.labels), t.p_s.tolist(), t.p1.tolist(),
-            t.p2.tolist(), t.classical.tolist(), t.delta.tolist(), lam, t.kinds(), theta,
-            se_lam, se_theta, z,
-        )
-        return tuple(BinEstimate(*row) for row in rows)
 
 
 def _estimate(

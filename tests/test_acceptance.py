@@ -36,6 +36,7 @@ from ctxprob import (
     synthesize_wave,
 )
 from ctxprob import forward_hyp
+from ctxprob.interference import TRIGONOMETRIC
 
 N_RANDOM = 10_000
 ACCEPTANCE_SEED = 15
@@ -167,17 +168,22 @@ def test_criterion_5_two_slit_monte_carlo():
     checked = 0
     theta_ok = True
     worst = 0.0
-    for b in rep.bins:
-        if min(b.p_s * n_s, b.p_1 * n_1, b.p_2 * n_2) < 100:
+    t = rep.table
+    columns = (t.p_s, t.p1, t.p2, t.kind, t.theta, t.stderr_theta, t.lam, t.stderr_lambda)
+    for x, p_s, p_1, p_2, kind, theta, se_theta, lam, se_lam in zip(
+        rep.x, *(c.tolist() for c in columns)
+    ):
+        if min(p_s * n_s, p_1 * n_1, p_2 * n_2) < 100:
             continue
-        true_cos = math.cos(k * b.x)
+        true_cos = math.cos(k * x)
         true_theta = math.acos(true_cos)
-        if isinstance(b.kind, Trigonometric) and b.stderr_theta:
-            ratio = abs(b.theta - true_theta) / (3.0 * b.stderr_theta)
-        elif b.stderr_lambda:
+        # an undefined standard error is NaN, and NaN > 0 is False
+        if kind == TRIGONOMETRIC and se_theta > 0:
+            ratio = abs(theta - true_theta) / (3.0 * se_theta)
+        elif se_lam > 0:
             # at the fold points the theta parametrization is singular;
             # the equivalent statement is a 3-sigma check on lambda itself
-            ratio = abs(b.lam - true_cos) / (3.0 * b.stderr_lambda)
+            ratio = abs(lam - true_cos) / (3.0 * se_lam)
         else:
             continue
         checked += 1

@@ -179,6 +179,33 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "error: sampling.n_emitted: n_emitted * runs must be below 2**63" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "pattern"])
+    @pytest.mark.parametrize("field, overrides", [
+        ("phase.finite", {"phase": {"kind": "freewave", "p1": 1e308, "p2": -1e308, "h": 1.0}}),
+        ("phase.finite", {"phase": {"kind": "freewave", "p1": 2.5, "p2": -2.5, "h": 1e-320}}),
+        ("grid.range", {"grid": {"bins": 16, "x_min": -1e308, "x_max": 1e308}}),
+        ("grid.x_min", {"grid": {"bins": 16, "x_min": -10**400, "x_max": 4.0}}),
+        ("phase.values", {"phase": {"kind": "explicit", "values": [10**400] * 16}}),
+        ("grid.bins", {"grid": {"bins": 2**63, "x_min": -4.0, "x_max": 4.0},
+                       "envelopes": {"slit1": {"kind": "uniform"}, "slit2": {"kind": "uniform"}}}),
+    ])
+    def test_overflowing_numbers_exit_2(self, capsys, tmp_path, command, field, overrides):
+        path = write_scenario(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"grid": \xff}', "cannot read scenario file"),
+        (b'{"grid": 1' + b"0" * 5000 + b"}", "invalid JSON"),
+    ])
+    def test_unreadable_scenario_text_exit_2(self, capsys, tmp_path, text, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {message}")
+
     @pytest.mark.parametrize("workers", ["-3", "0", "two"])
     def test_workers_must_be_a_positive_integer(self, capsys, tmp_path, workers):
         path = write_scenario(tmp_path)
@@ -398,6 +425,24 @@ class TestAnalyze:
         )
         assert code == 2
         assert "not an integer" in err
+
+    @pytest.mark.parametrize("rows", [f"a,{10**20}\n", f"a,{2**63 - 1}\nb,5\n"])
+    def test_counts_beyond_int64_exit_2(self, capsys, tmp_path, rows):
+        (tmp_path / "s.csv").write_text("bin,count\n" + rows)
+        (tmp_path / "ok.csv").write_text("bin,count\na,25\nb,25\n")
+        path = str(tmp_path / "s.csv")
+        code, out, err = run_cli(capsys, "analyze", path, str(tmp_path / "ok.csv"), str(tmp_path / "ok.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: counts sum to ")
+        assert "must be below 2**63" in err
+
+    def test_undecodable_counts_file_exit_2(self, capsys, tmp_path):
+        (tmp_path / "s.csv").write_bytes(b"bin,count\na,\xff\n")
+        (tmp_path / "ok.csv").write_text("bin,count\na,25\n")
+        path = str(tmp_path / "s.csv")
+        code, out, err = run_cli(capsys, "analyze", path, str(tmp_path / "ok.csv"), str(tmp_path / "ok.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: cannot read counts file")
 
     def test_classification_tolerance_is_forwarded(self, capsys, tmp_path):
         # These counts give lambda = +-0.8; a wide band absorbs them.

@@ -8,7 +8,6 @@ from ctxprob import (
     Boundary,
     ContextualDistribution,
     ContextualModel,
-    Degenerate,
     DegenerateBranch,
     GridSpec,
     Hyperbolic,
@@ -25,7 +24,13 @@ from ctxprob import (
     perturbation_delta,
     total_probability,
 )
-from ctxprob.interference import DEGENERATE, decompose_arrays
+from ctxprob.interference import (
+    BOUNDARY,
+    DEGENERATE,
+    HYPERBOLIC,
+    TRIGONOMETRIC,
+    decompose_arrays,
+)
 
 # Frozen from 50-digit arithmetic on the exact double inputs.
 ACOS_08 = 0.6435011087932843
@@ -261,11 +266,11 @@ class TestDecompose:
         p_s = ContextualDistribution(
             "S", {b: total_probability(HALF, p1.probs[b], p2.probs[b]) for b in space.bins}
         )
-        result = decompose(ContextualModel(space, p_s, p1, p2, HALF))
-        for rec in result.bins:
-            assert rec.lam == pytest.approx(0.0, abs=1e-12)
-            assert isinstance(rec.kind, Trigonometric)
-            assert rec.kind.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        t = decompose(ContextualModel(space, p_s, p1, p2, HALF)).table
+        for lam, kind, theta in zip(t.lam, t.kind, t.theta):
+            assert lam == pytest.approx(0.0, abs=1e-12)
+            assert kind == TRIGONOMETRIC
+            assert theta == pytest.approx(math.pi / 2, abs=1e-12)
 
     @given(
         a=st.floats(0.3, 0.7),
@@ -275,18 +280,20 @@ class TestDecompose:
     def test_two_bin_round_trip(self, a, b, theta_a):
         model, theta_u, theta_v = two_bin_model(a, b, theta_a)
         result = decompose(model)
-        by_bin = result.by_bin()
-        assert by_bin["u"].kind.theta == pytest.approx(theta_u, abs=1e-9)
-        assert by_bin["v"].kind.theta == pytest.approx(theta_v, abs=1e-9)
+        t = result.table
+        assert result.space.bins == ("u", "v")
+        assert t.kind.tolist() == [TRIGONOMETRIC, TRIGONOMETRIC]
+        assert t.theta[0] == pytest.approx(theta_u, abs=1e-9)
+        assert t.theta[1] == pytest.approx(theta_v, abs=1e-9)
         # reconstruction reproduces the pooled distribution bin by bin
-        for label, rec in by_bin.items():
+        for i, label in enumerate(result.space.bins):
             p1 = model.dist_s1.probs[label]
             p2 = model.dist_s2.probs[label]
             g2 = 2.0 * math.sqrt(0.25 * p1 * p2)
-            assert rec.classical_part + g2 * rec.lam == pytest.approx(
+            assert t.classical[i] + g2 * t.lam[i] == pytest.approx(
                 model.dist_s.probs[label], abs=1e-12
             )
-            assert rec.classical_part + rec.delta == pytest.approx(
+            assert t.classical[i] + t.delta[i] == pytest.approx(
                 model.dist_s.probs[label], abs=1e-12
             )
 
@@ -307,23 +314,21 @@ class TestDecompose:
             ContextualDistribution("S2", dict(zip(labels, env))),
             c,
         )
-        result = decompose(model)
+        t = decompose(model).table
         folded = np.arccos(np.cos(theta))
-        for rec, expected in zip(result.bins, folded):
-            assert isinstance(rec.kind, Trigonometric)
-            assert rec.kind.theta == pytest.approx(expected, abs=1e-9)
+        assert len(t.kind) == len(folded)
+        for kind, recovered, expected in zip(t.kind, t.theta, folded):
+            assert kind == TRIGONOMETRIC
+            assert recovered == pytest.approx(expected, abs=1e-9)
 
     def test_degenerate_bin_is_marked_not_fatal(self):
         space = OutcomeSpace(("u", "v", "w"))
         p1 = ContextualDistribution("S1", {"u": 0.0, "v": 0.5, "w": 0.5})
         p2 = ContextualDistribution("S2", {"u": 0.2, "v": 0.4, "w": 0.4})
         p_s = ContextualDistribution("S", {"u": 0.1, "v": 0.45, "w": 0.45})
-        result = decompose(ContextualModel(space, p_s, p1, p2, HALF))
-        by_bin = result.by_bin()
-        assert by_bin["u"].kind == Degenerate()
-        assert by_bin["u"].lam is None
-        assert isinstance(by_bin["v"].kind, Trigonometric)
-        assert isinstance(by_bin["w"].kind, Trigonometric)
+        t = decompose(ContextualModel(space, p_s, p1, p2, HALF)).table
+        assert t.kind.tolist() == [DEGENERATE, TRIGONOMETRIC, TRIGONOMETRIC]
+        assert math.isnan(t.lam[0])
 
     def test_invalid_model_rejected(self):
         space = OutcomeSpace(("u", "v"))
@@ -362,7 +367,6 @@ class TestDecomposeArrays:
         table = decompose_arrays(
             coeffs, *(c / n for c, n in zip(columns, totals)), tol, tuple(totals)
         )
-        kinds = table.kinds()
         for i, (n_s, n_1, n_2) in enumerate(counts):
             p_s, p1, p2 = n_s / totals[0], n_1 / totals[1], n_2 / totals[2]
             assert (table.p_s[i], table.p1[i], table.p2[i]) == (p_s, p1, p2)
@@ -372,10 +376,18 @@ class TestDecomposeArrays:
                 lam = lambda_coefficient(coeffs, p_s, p1, p2)
             except DegenerateBranch:
                 assert table.kind[i] == DEGENERATE and math.isnan(table.lam[i])
-                assert kinds[i] == Degenerate()
+                assert math.isnan(table.theta[i]) and table.sign[i] == 0
                 continue
             assert table.lam[i] == lam
-            assert kinds[i] == classify(lam, tol)
+            kind = classify(lam, tol)
+            if isinstance(kind, Trigonometric):
+                assert (table.kind[i], table.theta[i], table.sign[i]) == (TRIGONOMETRIC, kind.theta, 0)
+            elif isinstance(kind, Hyperbolic):
+                expected = (HYPERBOLIC, kind.theta, kind.sign)
+                assert (table.kind[i], table.theta[i], table.sign[i]) == expected
+            else:
+                assert table.kind[i] == BOUNDARY and math.isnan(table.theta[i])
+                assert table.sign[i] == 0
 
     def test_rejects_a_distribution_that_is_not_normalized(self):
         p = np.array([0.5, 0.6])

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from ctxprob import (
-    Degenerate,
     EnsembleCounts,
     ExplicitPhase,
     FreeWavePhase,
     GridSpec,
     OutcomeSpace,
     ScenarioError,
-    Trigonometric,
     TwoSlitScenario,
     ZeroEnsemble,
     alternative_condition_check,
@@ -27,6 +25,8 @@ from ctxprob import (
     uniform_envelope,
     validate_scenario,
 )
+from ctxprob.interference import DEGENERATE, TRIGONOMETRIC
+from ctxprob.twoslit import MAX_BINS, validate_grid
 
 
 def gaussian_scenario(bins=128, span=4.0, phase=None, n_emitted=10**5, runs=1, seed=1012):
@@ -82,6 +82,25 @@ class TestScenarioValidation:
     def test_freewave_scaling_must_be_positive(self):
         sc = gaussian_scenario(phase=FreeWavePhase(1.0, -1.0, 0.0))
         assert any(v.invariant == "phase.scaling" for v in validate_scenario(sc))
+
+    @pytest.mark.parametrize("phase, invariant", [
+        (FreeWavePhase(1.0, -1.0, math.nan), "phase.scaling"),
+        (FreeWavePhase(1.0, -1.0, math.inf), "phase.scaling"),
+        (FreeWavePhase(1e308, -1e308), "phase.finite"),
+        (FreeWavePhase(2.5, -2.5, 1e-320), "phase.finite"),
+        (FreeWavePhase(math.nan, 0.0), "phase.finite"),
+        (ExplicitPhase((math.nan,) * 128), "phase.finite"),
+    ])
+    def test_phase_must_be_finite(self, phase, invariant):
+        sc = gaussian_scenario(phase=phase)
+        assert [v.invariant for v in validate_scenario(sc)] == [invariant]
+
+    def test_grid_width_and_size_are_bounded(self):
+        wide = GridSpec(16, -1e308, 1e308)
+        assert [v.invariant for v in validate_grid(wide)] == ["grid.range"]
+        huge = GridSpec(MAX_BINS + 1, -4.0, 4.0)
+        assert [v.invariant for v in validate_grid(huge)] == ["grid.bins"]
+        assert validate_grid(GridSpec(MAX_BINS, -4.0, 4.0)) == []
 
     def test_grid_labels_are_unique_midpoints(self):
         grid = GridSpec(64, -4.0, 4.0)
@@ -224,12 +243,14 @@ class TestRunExperiment:
         n_1 = report.counts_s1.total_detected
         n_2 = report.counts_s2.total_detected
         checked = 0
-        for b in report.bins:
-            if b.lam is None or not b.stderr_lambda:
+        t = report.table
+        columns = (t.lam, t.stderr_lambda, t.p_s, t.p1, t.p2)
+        for lam, se_lam, p_s, p_1, p_2 in zip(*(c.tolist() for c in columns)):
+            if math.isnan(lam) or not se_lam > 0:  # NaN where undefined
                 continue
-            if min(b.p_s * n_s, b.p_1 * n_1, b.p_2 * n_2) < 100:
+            if min(p_s * n_s, p_1 * n_1, p_2 * n_2) < 100:
                 continue
-            assert abs(b.lam) <= 5 * b.stderr_lambda
+            assert abs(lam) <= 5 * se_lam
             checked += 1
         assert checked > 50
 
@@ -260,9 +281,9 @@ class TestRunExperiment:
     def test_empty_branch_bins_marked_degenerate(self):
         sc = gaussian_scenario(bins=64, span=8.0, n_emitted=2000, seed=4)
         report = run_experiment(sc)
-        kinds = {type(b.kind) for b in report.bins}
-        assert Degenerate in kinds  # far tails get no branch counts at this size
-        assert Trigonometric in kinds
+        kinds = set(report.table.kind.tolist())
+        assert DEGENERATE in kinds  # far tails get no branch counts at this size
+        assert TRIGONOMETRIC in kinds
 
     def test_sqrt_n_convergence(self):
         # 100x the sample size shrinks the worst-bin error by about 10x.
@@ -346,14 +367,14 @@ class TestReportShape:
     def test_bins_carry_positions_and_errors(self):
         sc = gaussian_scenario(n_emitted=10**5, seed=55, phase=FreeWavePhase(2.5, -2.5, 1.0))
         report = run_experiment(sc)
-        xs = [b.x for b in report.bins]
-        assert xs == [pytest.approx(v) for v in sc.grid.midpoints()]
-        rich = [b for b in report.bins if isinstance(b.kind, Trigonometric)]
-        assert rich, "expected classified bins"
-        for b in rich:
-            assert b.theta is not None and 0.0 <= b.theta <= math.pi
-            assert b.stderr_lambda is None or b.stderr_lambda > 0.0
-            assert b.z is None or b.z >= 0.0
+        assert list(report.x) == [pytest.approx(v) for v in sc.grid.midpoints()]
+        t = report.table
+        rich = np.flatnonzero(t.kind == TRIGONOMETRIC)
+        assert rich.size, "expected classified bins"
+        for i in rich:
+            assert 0.0 <= t.theta[i] <= math.pi  # False for NaN
+            assert math.isnan(t.stderr_lambda[i]) or t.stderr_lambda[i] > 0.0
+            assert math.isnan(t.z[i]) or t.z[i] >= 0.0
 
     def test_histograms_are_aligned_by_label(self):
         report = run_experiment(gaussian_scenario(n_emitted=2000, seed=8))
@@ -387,10 +408,10 @@ class TestReportShape:
             sc = TwoSlitScenario(grid, env, env, phase, 20000, 1, seed)
             report = run_experiment(sc)
             for i in picked:
-                b = report.bins[i]
-                if b.lam is not None and b.stderr_lambda:
-                    samples[i][0].append(b.lam)
-                    samples[i][1].append(b.stderr_lambda)
+                lam, se_lam = report.table.lam[i], report.table.stderr_lambda[i]
+                if not math.isnan(lam) and se_lam > 0:
+                    samples[i][0].append(lam)
+                    samples[i][1].append(se_lam)
         for i in picked:
             lams, errs = samples[i]
             assert len(lams) == 40
@@ -403,8 +424,8 @@ class TestReportShape:
         env = uniform_envelope(grid)
         sc = TwoSlitScenario(grid, env, env, ExplicitPhase((math.pi / 2,)), 1000, 1, 5)
         report = run_experiment(sc)
-        only = report.bins[0]
-        assert only.p_s == only.p_1 == only.p_2 == 1.0
-        assert only.lam == 0.0
-        assert only.z is None  # zero binomial variance at p = 1
+        t = report.table
+        assert t.p_s.tolist() == t.p1.tolist() == t.p2.tolist() == [1.0]
+        assert t.lam[0] == 0.0
+        assert math.isnan(t.z[0])  # zero binomial variance at p = 1
         assert report.violation_statistic == 0.0
