@@ -46,7 +46,6 @@ from .errors import ScenarioError, ZeroEnsemble
 from .interference import DecompositionTable, decompose_arrays
 
 CONTEXT_IDS = ("S", "S1", "S2")
-_CONTEXT_INDEX = {"S": 0, "S1": 1, "S2": 2}
 
 #: Acceptance probability of a branch context; half the emitted systems
 #: reach the screen when only one opening is active.
@@ -56,6 +55,8 @@ ENVELOPE_SUM_TOL = 1e-9
 
 #: Largest grid accepted: the envelopes and the report hold several values per bin.
 MAX_BINS = 2**24
+#: Most runs accepted: the sampling pool holds one pending task per (context, run).
+MAX_RUNS = 2**16
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,7 +147,8 @@ def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> tuple[float,
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
     x = grid.midpoints()
-    v = np.exp(-0.5 * ((x - mean) / sigma) ** 2)
+    with np.errstate(over="ignore"):  # a tiny sigma overflows to exp(-inf) = 0, caught below
+        v = np.exp(-0.5 * ((x - mean) / sigma) ** 2)
     total = float(v.sum())
     if total <= 0.0:
         raise ValueError("gaussian envelope underflows to zero on this grid")
@@ -235,8 +237,8 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
                 f"n_emitted * runs must be below 2**63, got {scenario.n_emitted * scenario.runs!r}",
             )
         )
-    if scenario.runs < 1:
-        out.append(Violation("sampling.runs", f"must be >= 1, got {scenario.runs!r}"))
+    if not 1 <= scenario.runs <= MAX_RUNS:
+        out.append(Violation("sampling.runs", f"need 1 to {MAX_RUNS} runs, got {scenario.runs!r}"))
     if not (0 <= scenario.seed < 2**64):
         out.append(Violation("sampling.seed", f"must fit in 64 bits, got {scenario.seed!r}"))
     return out
@@ -257,13 +259,11 @@ def interference_pattern(p1: np.ndarray, p2: np.ndarray, theta: np.ndarray) -> n
     return 0.5 * (p1 + p2 + 2.0 * np.sqrt(p1 * p2) * np.cos(theta))
 
 
-def _pattern(scenario: TwoSlitScenario) -> tuple[np.ndarray, float]:
-    """The renormalized pattern and the grid sum it was divided by."""
-    raw = interference_pattern(
-        np.asarray(scenario.envelope1, dtype=float),
-        np.asarray(scenario.envelope2, dtype=float),
-        scenario.phase_table(),
-    )
+def _distributions(scenario: TwoSlitScenario) -> tuple[tuple[np.ndarray, ...], float]:
+    """The pattern and both envelopes renormalized over the grid (each context's
+    sampling distribution, in ``CONTEXT_IDS`` order), and the pattern's raw grid sum."""
+    p1, p2 = (np.asarray(env, dtype=float) for env in (scenario.envelope1, scenario.envelope2))
+    raw = interference_pattern(p1, p2, scenario.phase_table())
     low = float(raw.min())
     if low < -1e-12:
         raise ScenarioError([("pattern", f"negative probability {low!r} in the pattern")])
@@ -271,7 +271,7 @@ def _pattern(scenario: TwoSlitScenario) -> tuple[np.ndarray, float]:
     total = float(raw.sum())
     if total <= 0.0:
         raise ScenarioError([("pattern", "interference pattern sums to zero")])
-    return raw / total, total
+    return (raw / total, p1 / p1.sum(), p2 / p2.sum()), total
 
 
 def pattern_normalization(scenario: TwoSlitScenario) -> float:
@@ -282,7 +282,7 @@ def pattern_normalization(scenario: TwoSlitScenario) -> float:
     truncation.
     """
     _require_valid(scenario)
-    return _pattern(scenario)[1]
+    return _distributions(scenario)[1]
 
 
 def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
@@ -292,7 +292,7 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     and renormalizes the grid sum to 1 (see :func:`pattern_normalization`).
     """
     _require_valid(scenario)
-    pattern, _ = _pattern(scenario)
+    pattern = _distributions(scenario)[0][0]
     labels = scenario.grid.labels()
     return ContextualDistribution("S", dict(zip(labels, (float(p) for p in pattern))))
 
@@ -302,19 +302,15 @@ def _run_rng(scenario: TwoSlitScenario, context_index: int, run: int) -> np.rand
     return np.random.Generator(np.random.Philox(seed=seq))
 
 
-def _simulate_counts(
-    scenario: TwoSlitScenario, which: str, run: int, pattern: np.ndarray
+def _sample(
+    scenario: TwoSlitScenario, distributions: tuple[np.ndarray, ...], context: int, run: int
 ) -> np.ndarray:
-    rng = _run_rng(scenario, _CONTEXT_INDEX[which], run)
-    if which == "S":
-        pv = pattern
-        detected = scenario.n_emitted
-    else:
-        env = scenario.envelope1 if which == "S1" else scenario.envelope2
-        pv = np.asarray(env, dtype=float)
-        pv = pv / pv.sum()
-        detected = int(rng.binomial(scenario.n_emitted, BRANCH_ACCEPTANCE)) if scenario.n_emitted else 0
-    return rng.multinomial(detected, pv)
+    """One collection period's histogram for the context at index ``context``."""
+    rng = _run_rng(scenario, context, run)
+    detected = scenario.n_emitted
+    if context:  # a branch context passes each system with probability 1/2
+        detected = int(rng.binomial(detected, BRANCH_ACCEPTANCE))
+    return rng.multinomial(detected, distributions[context])
 
 
 def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> EnsembleCounts:
@@ -326,8 +322,8 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
     if which not in CONTEXT_IDS:
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
     _require_valid(scenario)
-    pattern, _ = _pattern(scenario)
-    counts = _simulate_counts(scenario, which, run, pattern)
+    distributions, _ = _distributions(scenario)
+    counts = _sample(scenario, distributions, CONTEXT_IDS.index(which), run)
     return EnsembleCounts(
         which,
         dict(zip(scenario.grid.labels(), (int(c) for c in counts))),
@@ -388,6 +384,8 @@ def _positional(counts: EnsembleCounts, labels: tuple[str, ...]) -> np.ndarray:
             f"context {counts.context_id!r} counts do not cover the outcome space "
             f"exactly (first differences: {differences[:5]})"
         )
+    if counts.total_detected >= 2**63:  # the totals are int64
+        raise ValueError(f"context {counts.context_id!r} counts total 2**63 or more")
     return np.fromiter(map(values.__getitem__, labels), dtype=np.int64, count=len(labels))
 
 
@@ -410,8 +408,8 @@ def decompose_empirical(
 
     Raises:
         ZeroEnsemble: if any context detected nothing.
-        ValueError: if a histogram's bins differ from ``space``, or a count
-            is negative.
+        ValueError: if a histogram's bins differ from ``space``, a count is
+            negative, or a histogram totals 2**63 or more.
     """
     counts = (counts_s, counts_s1, counts_s2)
     columns = tuple(_positional(c, space.bins) for c in counts)
@@ -424,40 +422,35 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate all three contexts and estimate the decomposition.
 
-    ``workers`` > 1 simulates the (context, run) pairs on a thread pool;
-    because every pair has its own random stream and the per-context
-    reduction is an integer sum, the report is identical for any worker
-    count and any scheduling.
+    The (context, run) pairs are sampled on a pool of ``workers`` threads and
+    each histogram is added to its context's total as it arrives. Because
+    every pair has its own random stream and the reduction is an integer sum,
+    the report is identical for any worker count and any scheduling.
 
     Raises:
         ZeroEnsemble: if a context ends up with no detected systems
-            (for example ``n_emitted = 0``).
+            (for example ``n_emitted = 0``, which draws nothing).
     """
     _require_valid(scenario)
-    pattern, raw_total = _pattern(scenario)
+    distributions, raw_total = _distributions(scenario)
+    if scenario.n_emitted == 0:
+        raise ZeroEnsemble("pooled context has zero detected systems")
+
+    totals = np.zeros((len(CONTEXT_IDS), scenario.grid.bins), dtype=np.int64)
+    tasks = [(context, run) for context in range(len(CONTEXT_IDS)) for run in range(scenario.runs)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        histograms = pool.map(lambda task: _sample(scenario, distributions, *task), tasks)
+        for (context, _), counts in zip(tasks, histograms):
+            totals[context] += counts
+
     labels = scenario.grid.labels()
-
-    tasks = [(which, run) for which in CONTEXT_IDS for run in range(scenario.runs)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda t: _simulate_counts(scenario, t[0], t[1], pattern), tasks)
-            )
-    else:
-        results = [_simulate_counts(scenario, which, run, pattern) for which, run in tasks]
-
-    totals = {which: np.zeros(scenario.grid.bins, dtype=np.int64) for which in CONTEXT_IDS}
-    for (which, _), counts in zip(tasks, results):
-        totals[which] += counts
-
     emitted = scenario.n_emitted * scenario.runs
     ensembles = tuple(
-        EnsembleCounts(which, dict(zip(labels, totals[which].tolist())), emitted)
-        for which in CONTEXT_IDS
+        EnsembleCounts(which, dict(zip(labels, column.tolist())), emitted)
+        for which, column in zip(CONTEXT_IDS, totals)
     )
-    columns = tuple(totals[which] for which in CONTEXT_IDS)
     x = tuple(scenario.grid.midpoints().tolist())
-    return _estimate(labels, ensembles, columns, tol, x, raw_total)
+    return _estimate(labels, ensembles, tuple(totals), tol, x, raw_total)
 
 
 def alternative_condition_check(report: ExperimentReport, n_sigma: float) -> tuple[bool, float]:

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ctxprob import ScenarioError, cli
+from ctxprob.twoslit import MAX_RUNS
 
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(__file__).parent.parent / "src"
@@ -218,11 +220,19 @@ class TestSimulate:
 
     def test_zero_emissions_exit_3(self, capsys, tmp_path):
         scenario = write_scenario(
-            tmp_path, sampling={"n_emitted": 0, "runs": 1, "seed": 1}
+            tmp_path, sampling={"n_emitted": 0, "runs": MAX_RUNS, "seed": 1}
         )
-        code, _, err = run_cli(capsys, "simulate", scenario)
-        assert code == 3
-        assert "zero detected" in err
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", scenario)
+        assert time.perf_counter() - start < 0.5  # before any run is drawn
+        assert (code, out, err) == (3, "", "error: pooled context has zero detected systems\n")
+
+    @pytest.mark.parametrize("runs", [MAX_RUNS + 1, 2**63])
+    def test_runs_are_bounded(self, capsys, tmp_path, runs):
+        path = write_scenario(tmp_path, sampling={"n_emitted": 0, "runs": runs, "seed": 1})
+        code, out, err = run_cli(capsys, "simulate", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: sampling.runs: need 1 to {MAX_RUNS} runs, got {runs}\n"
 
     def test_fringe_scenario_reports_violation(self, capsys, tmp_path):
         scenario = write_scenario(
@@ -530,10 +540,27 @@ class TestRenderJson:
         assert str(raised.value) == str(expected.value)
 
 
+def src_env():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_underflowing_gaussian_prints_only_the_error(tmp_path):
+    # In a fresh interpreter, so that a numpy warning would reach stderr.
+    envelopes = {"slit1": {"kind": "gaussian", "mean": 0.0, "sigma": 1e-320},
+                 "slit2": {"kind": "uniform"}}
+    path = write_scenario(tmp_path, envelopes=envelopes)
+    done = subprocess.run(
+        [sys.executable, "-m", "ctxprob", "simulate", path],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: envelopes.slit1: gaussian envelope underflows to zero on this grid\n"
+
+
 @pytest.mark.parametrize("module", ["ctxprob", "ctxprob.cli"])
 def test_python_m_runs_the_cli(module):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = src_env()
     golden = GOLDENS / "classical_small.json"
     done = subprocess.run(
         [sys.executable, "-m", module, "pattern", str(golden)],

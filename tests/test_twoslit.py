@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from ctxprob import (
     validate_scenario,
 )
 from ctxprob.interference import DEGENERATE, TRIGONOMETRIC
-from ctxprob.twoslit import MAX_BINS, validate_grid
+from ctxprob.twoslit import MAX_BINS, MAX_RUNS, validate_grid
 
 
 def gaussian_scenario(bins=128, span=4.0, phase=None, n_emitted=10**5, runs=1, seed=1012):
@@ -61,6 +63,11 @@ class TestScenarioValidation:
         sc = dataclasses.replace(gaussian_scenario(), n_emitted=-1, seed=-5, runs=0)
         names = {v.invariant for v in validate_scenario(sc)}
         assert {"sampling.n_emitted", "sampling.runs", "sampling.seed"} <= names
+
+    def test_runs_are_bounded(self):
+        sc = dataclasses.replace(gaussian_scenario(), n_emitted=0, runs=MAX_RUNS + 1)
+        assert [v.invariant for v in validate_scenario(sc)] == ["sampling.runs"]
+        assert validate_scenario(dataclasses.replace(sc, runs=MAX_RUNS)) == []
 
     def test_sampling_total_must_fit_int64(self):
         sc = dataclasses.replace(gaussian_scenario(), n_emitted=2**62, runs=2)
@@ -274,9 +281,33 @@ class TestRunExperiment:
         assert report.counts_s.total_detected == 3000
 
     def test_zero_emissions_raises(self):
-        sc = dataclasses.replace(gaussian_scenario(), n_emitted=0)
-        with pytest.raises(ZeroEnsemble):
+        sc = dataclasses.replace(gaussian_scenario(), n_emitted=0, runs=MAX_RUNS)
+        start = time.perf_counter()
+        with pytest.raises(ZeroEnsemble, match="pooled context has zero detected systems"):
             run_experiment(sc)
+        assert time.perf_counter() - start < 0.5  # drawing 3 * MAX_RUNS tasks takes seconds
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_are_the_sums_of_simulate_context(self, workers):
+        sc = gaussian_scenario(bins=64, n_emitted=5000, runs=3, seed=31)
+        report = run_experiment(sc, workers=workers)
+        counts = (report.counts_s, report.counts_s1, report.counts_s2)
+        for which, ensemble in zip(("S", "S1", "S2"), counts):
+            runs = [simulate_context(sc, which, run).counts for run in range(3)]
+            assert ensemble.counts == {b: sum(r[b] for r in runs) for b in sc.grid.labels()}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_runs(self, workers):
+        # 3 * 256 histograms of 1024 int64 counts would hold 6.3 MB at once;
+        # summed as they arrive, the traced peak stays near 2.5 MB.
+        sc = gaussian_scenario(bins=1024, n_emitted=10**5, runs=256, seed=3)
+        tracemalloc.start()
+        try:
+            run_experiment(sc, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
     def test_empty_branch_bins_marked_degenerate(self):
         sc = gaussian_scenario(bins=64, span=8.0, n_emitted=2000, seed=4)
@@ -387,6 +418,17 @@ class TestReportShape:
         assert decompose_empirical(space, counts[0], shuffled, counts[2]) == aligned
         with pytest.raises(ValueError, match="do not cover"):
             decompose_empirical(OutcomeSpace(report.labels[1:]), *counts)
+
+    @pytest.mark.parametrize("counts", [
+        {"a": 10**20, "b": 5},  # beyond int64 in one bin
+        {"a": 2**62, "b": 2**62},  # each bin fits; the total would wrap to -2**63
+    ])
+    def test_totals_beyond_int64_raise_value_error(self, counts):
+        space = OutcomeSpace(("a", "b"))
+        fine = EnsembleCounts("S1", {"a": 3, "b": 5}, 10)
+        huge = EnsembleCounts("S", counts, 0)
+        with pytest.raises(ValueError, match="context 'S' counts total 2\\*\\*63 or more"):
+            decompose_empirical(space, huge, fine, fine)
 
     def test_invalid_scenario_raises_scenario_error(self):
         sc = dataclasses.replace(gaussian_scenario(), runs=0)
