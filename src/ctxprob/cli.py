@@ -23,7 +23,10 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -69,11 +72,6 @@ _ANALYZE_ROW = "%s,%.15g,%.15g,%.15g,%.15g,%s,%s,%s,%s"
 def fmt15(value: float) -> str:
     """Render a float with 15 significant digits."""
     return format(value, ".15g")
-
-
-def _values(column: np.ndarray) -> list[float | None]:
-    """A column as Python floats, with None where it holds NaN."""
-    return [None if v != v else v for v in column.tolist()]
 
 
 def _opt_column(column: np.ndarray) -> list[str]:
@@ -287,28 +285,14 @@ def _counts_document(counts: EnsembleCounts) -> dict:
     }
 
 
-def _bin_documents(report: ExperimentReport) -> list[dict]:
-    t = report.table
-    columns = {
-        "bin": report.labels,
-        "x": report.x or (None,) * len(report.labels),
-        "p_s": t.p_s.tolist(),
-        "p_1": t.p1.tolist(),
-        "p_2": t.p2.tolist(),
-        "classical": t.classical.tolist(),
-        "delta": t.delta.tolist(),
-        "lambda": _values(t.lam),
-        "kind": [KIND_LABELS[k] for k in t.kind.tolist()],
-        "sign": [s or None for s in t.sign.tolist()],
-        "theta": _values(t.theta),
-        "stderr_lambda": _values(t.stderr_lambda),
-        "stderr_theta": _values(t.stderr_theta),
-        "z": _values(t.z),
-    }
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+class RecordColumns(dict):
+    """Records held as columns: ``node[name][i]`` is field ``name`` of record ``i``.
+    It renders as the list of records, with NaN in a float64 array column as
+    ``null``; the other columns hold plain scalars."""
 
 
 def report_document(report: ExperimentReport) -> dict:
+    t = report.table
     return {
         "counts": {
             "S": _counts_document(report.counts_s),
@@ -324,7 +308,22 @@ def report_document(report: ExperimentReport) -> dict:
         "pattern_normalization": report.pattern_normalization,
         "violation_statistic": report.violation_statistic,
         "classification_tol": report.classification_tol,
-        "bins": _bin_documents(report),
+        "bins": RecordColumns({
+            "bin": report.labels,
+            "x": report.x or (None,) * len(report.labels),
+            "p_s": t.p_s,
+            "p_1": t.p1,
+            "p_2": t.p2,
+            "classical": t.classical,
+            "delta": t.delta,
+            "lambda": t.lam,
+            "kind": [KIND_LABELS[k] for k in t.kind.tolist()],
+            "sign": [s or None for s in t.sign.tolist()],
+            "theta": t.theta,
+            "stderr_lambda": t.stderr_lambda,
+            "stderr_theta": t.stderr_theta,
+            "z": t.z,
+        }),
     }
 
 
@@ -352,64 +351,76 @@ def _column(values) -> list[str] | None:
     return [_SCALARS[type(v)](v) for v in values]
 
 
-def _records(rows, pad: str) -> str | None:
-    """A list of flat dicts sharing one key set, rendered a key at a time, or None."""
-    first = rows[0]
-    if type(first) is not dict or not first or not all(type(k) is str for k in first):
-        return None
-    keys = first.keys()
-    if not all(type(row) is dict and row.keys() == keys for row in rows):
-        return None
-    names = sorted(first)
-    columns = [_column([row[name] for row in rows]) for name in names]
-    if None in columns:
-        return None
-    inner = pad + "  "
-    fields = (",\n" + inner).join(
+#: Records of a :class:`RecordColumns` node rendered per chunk of text.
+BLOCK_ROWS = 4096
+
+
+def _cells(column, pad: str) -> list[str]:
+    """The JSON text of each value of a node column, indented at ``pad``."""
+    if not isinstance(column, np.ndarray):
+        return _column(column) or ["".join(_render(v, pad)) for v in column]
+    values = column.tolist()
+    cells = list(map(float.__repr__, values))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():  # NaN is null; +-inf raises
+        cells[i] = "null" if values[i] != values[i] else "".join(_render(values[i], pad))
+    return cells
+
+
+def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
+    """The text of a record-columns node, :data:`BLOCK_ROWS` records per chunk."""
+    names = sorted(node)
+    inner, field = pad + "  ", pad + "    "
+    fields = (",\n" + field).join(
         encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names
     )
-    row = "{\n" + inner + fields + "\n" + pad + "}"
-    return (",\n" + pad).join(map(row.__mod__, zip(*columns)))
+    row = "{\n" + field + fields + "\n" + inner + "}"
+    rows = len(node[names[0]])
+    for start in range(0, rows, BLOCK_ROWS):
+        block = [_cells(node[name][start:start + BLOCK_ROWS], field) for name in names]
+        text = (",\n" + inner).join(map(row.__mod__, zip(*block)))
+        yield ("," if start else "[") + "\n" + inner + text
+    yield "\n" + pad + "]" if rows else "[]"
 
 
-def _render(value, pad: str, out: list[str]) -> None:
-    """Append the text of ``value``, indented at ``pad``, to ``out``."""
+def _render(value, pad: str) -> Iterator[str]:
+    """The text of ``value``, indented at ``pad``, in chunks."""
     inner = pad + "  "
     kind = type(value)
     if kind is dict and value and all(type(k) is str for k in value):
         keys = sorted(value)
         names = [encode_basestring_ascii(k) + ": " for k in keys]
         column = _column([value[k] for k in keys])
-        out.append("{\n" + inner)
+        yield "{\n" + inner
         if column is not None:
-            out.append((",\n" + inner).join(map(str.__add__, names, column)))
+            yield (",\n" + inner).join(map(str.__add__, names, column))
         else:
             for i, (name, key) in enumerate(zip(names, keys)):
-                out.append(",\n" + inner + name if i else name)
-                _render(value[key], inner, out)
-        out.append("\n" + pad + "}")
+                yield ",\n" + inner + name if i else name
+                yield from _render(value[key], inner)
+        yield "\n" + pad + "}"
     elif (kind is list or kind is tuple) and value:
         column = _column(value)
-        rows = (",\n" + inner).join(column) if column is not None else _records(value, inner)
-        out.append("[\n" + inner)
-        if rows is not None:
-            out.append(rows)
+        yield "[\n" + inner
+        if column is not None:
+            yield (",\n" + inner).join(column)
         else:
             for i, item in enumerate(value):
                 if i:
-                    out.append(",\n" + inner)
-                _render(item, inner, out)
-        out.append("\n" + pad + "]")
+                    yield ",\n" + inner
+                yield from _render(item, inner)
+        yield "\n" + pad + "]"
+    elif kind is RecordColumns:
+        yield from _record_rows(value, pad)
     else:
         column = _column((value,))
         if column is not None:
-            out.append(column[0])
+            yield column[0]
         else:
             # Empty containers, non-str keys, subclasses, non-finite floats and
             # unserializable objects: json's own text (or error), re-indented.
             # JSON strings never hold a raw newline, so the replace is exact.
             text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-            out.append(text.replace("\n", "\n" + pad))
+            yield text.replace("\n", "\n" + pad)
 
 
 def render_json(doc: dict) -> str:
@@ -417,14 +428,12 @@ def render_json(doc: dict) -> str:
 
     The text equals ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``, and a non-finite float raises the same
-    ``ValueError``. With ``indent`` set, ``json.dumps`` encodes value by value
-    in Python; here a run of plain scalars (a list, a dict's values, one key
-    across a list of flat records) is rendered as one column.
+    ``ValueError``; a :class:`RecordColumns` node renders as its records.
+    With ``indent`` set, ``json.dumps`` encodes value by value in Python;
+    here a run of plain scalars (a list, a dict's values, a node's column)
+    is rendered as one column.
     """
-    out: list[str] = []
-    _render(doc, "", out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(_render(doc, "")) + "\n"
 
 
 def simulation_document(scenario: TwoSlitScenario, report: ExperimentReport) -> dict:
@@ -523,23 +532,31 @@ def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _resolve_out(out: str | None) -> Path | None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to stdout or ``--out``, replacing a plain file only once complete."""
     if out is None:
-        return None
+        sys.stdout.writelines(chunks)
+        return
     path = Path(out)
     base = os.environ.get(ENV_OUT_DIR)
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def _emit(text: str, out: str | None) -> None:
-    path = _resolve_out(out)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    st = path.lstat() if os.path.lexists(path) else None
+    if st and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):  # link, FIFO, device
+        with path.open("w", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+        return
+    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with partial.open("x", encoding="utf-8") as stream:
+            stream.writelines(chunks)
+        if st:  # the replaced file keeps its permissions
+            partial.chmod(stat.S_IMODE(st.st_mode))
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
@@ -548,7 +565,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     lines = [",".join(PATTERN_HEADER)]
     lines.extend(",".join(row) for row in pattern_rows(scenario))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -558,7 +575,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_experiment(scenario, tol=args.tol, workers=args.workers)
     doc = simulation_document(scenario, report)
-    _emit(render_json(doc), args.out)
+    _emit(chain(_render(doc, ""), ["\n"]), args.out)
     return EXIT_OK
 
 
@@ -575,7 +592,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
     space = OutcomeSpace(tuple(bins))
     report = decompose_empirical(space, counts_s, counts_s1, counts_s2, tol=args.tol)
-    _emit("\n".join(analyze_lines(report)) + "\n", args.out)
+    _emit(["\n".join(analyze_lines(report)) + "\n"], args.out)
     return EXIT_OK
 
 

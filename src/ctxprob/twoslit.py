@@ -53,9 +53,9 @@ BRANCH_ACCEPTANCE = 0.5
 
 ENVELOPE_SUM_TOL = 1e-9
 
-#: Largest grid accepted: the envelopes and the report hold several values per bin.
-MAX_BINS = 2**24
-#: Most runs accepted: the sampling pool holds one pending task per (context, run).
+#: Largest grid accepted: ``pattern`` and ``simulate`` peak near 1 KB of memory per bin.
+MAX_BINS = 2**21
+#: Most runs accepted: sampling time grows with the (context, run) pairs drawn.
 MAX_RUNS = 2**16
 
 
@@ -422,10 +422,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate all three contexts and estimate the decomposition.
 
-    The (context, run) pairs are sampled on a pool of ``workers`` threads and
-    each histogram is added to its context's total as it arrives. Because
-    every pair has its own random stream and the reduction is an integer sum,
-    the report is identical for any worker count and any scheduling.
+    The (context, run) pairs are split into one stripe per thread of a
+    ``workers``-thread pool; each thread adds its pairs' histograms into its
+    own counts, and the stripes' counts are added at the end. Because every
+    pair has its own random stream and the reduction is an integer sum, the
+    report is identical for any worker count and any scheduling.
 
     Raises:
         ZeroEnsemble: if a context ends up with no detected systems
@@ -436,12 +437,18 @@ def run_experiment(
     if scenario.n_emitted == 0:
         raise ZeroEnsemble("pooled context has zero detected systems")
 
-    totals = np.zeros((len(CONTEXT_IDS), scenario.grid.bins), dtype=np.int64)
-    tasks = [(context, run) for context in range(len(CONTEXT_IDS)) for run in range(scenario.runs)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        histograms = pool.map(lambda task: _sample(scenario, distributions, *task), tasks)
-        for (context, _), counts in zip(tasks, histograms):
-            totals[context] += counts
+    tasks = len(CONTEXT_IDS) * scenario.runs
+    stripes = min(workers, tasks)
+
+    def stripe(first: int) -> np.ndarray:  # the pairs first, first + stripes, ...
+        totals = np.zeros((len(CONTEXT_IDS), scenario.grid.bins), dtype=np.int64)
+        for task in range(first, tasks, stripes):
+            context, run = divmod(task, scenario.runs)
+            totals[context] += _sample(scenario, distributions, context, run)
+        return totals
+
+    with ThreadPoolExecutor(max_workers=stripes) as pool:
+        totals = sum(pool.map(stripe, range(stripes)))
 
     labels = scenario.grid.labels()
     emitted = scenario.n_emitted * scenario.runs

@@ -20,12 +20,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ctxprob import cli
-from ctxprob.twoslit import MAX_RUNS
+from ctxprob.twoslit import MAX_BINS, MAX_RUNS
 
 # Finite extremes pass the parser and overflow later, so they come twice.
 FLOATS = [1e308, -1e308, 1e-320, -1e-320] * 2 + [0.0, 10**400, math.nan, math.inf, -math.inf]
 INTS = {
-    "bins": [0, -3, 2**63, 10**20],
+    "bins": [0, -3, MAX_BINS + 1, 2**63, 10**20],
     "n_emitted": [-1, 0, 2**63, 10**20],
     "runs": [-1, 0, MAX_RUNS + 1, 2**63],
     "seed": [-1, 2**64],

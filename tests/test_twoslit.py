@@ -108,6 +108,8 @@ class TestScenarioValidation:
         huge = GridSpec(MAX_BINS + 1, -4.0, 4.0)
         assert [v.invariant for v in validate_grid(huge)] == ["grid.bins"]
         assert validate_grid(GridSpec(MAX_BINS, -4.0, 4.0)) == []
+        # 2**24 bins would peak near 16 GB in pattern or simulate
+        assert [v.invariant for v in validate_grid(GridSpec(2**24, -4.0, 4.0))] == ["grid.bins"]
 
     def test_grid_labels_are_unique_midpoints(self):
         grid = GridSpec(64, -4.0, 4.0)
@@ -287,7 +289,7 @@ class TestRunExperiment:
             run_experiment(sc)
         assert time.perf_counter() - start < 0.5  # drawing 3 * MAX_RUNS tasks takes seconds
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_counts_are_the_sums_of_simulate_context(self, workers):
         sc = gaussian_scenario(bins=64, n_emitted=5000, runs=3, seed=31)
         report = run_experiment(sc, workers=workers)
@@ -298,16 +300,18 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_does_not_grow_with_runs(self, workers):
-        # 3 * 256 histograms of 1024 int64 counts would hold 6.3 MB at once;
-        # summed as they arrive, the traced peak stays near 2.5 MB.
-        sc = gaussian_scenario(bins=1024, n_emitted=10**5, runs=256, seed=3)
-        tracemalloc.start()
-        try:
-            run_experiment(sc, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.5e6
+        # 3 * 256 histograms of 1024 int64 counts would hold 6.3 MB at once,
+        # and one pending task per (context, run) pair 12 MB at 2048 runs;
+        # summed per stripe of pairs, the traced peak stays near 2.5 MB.
+        for bins, runs in ((1024, 256), (16, 2048)):
+            sc = gaussian_scenario(bins=bins, n_emitted=10**5, runs=runs, seed=3)
+            tracemalloc.start()
+            try:
+                run_experiment(sc, workers=workers)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3.5e6, (bins, runs)
 
     def test_empty_branch_bins_marked_degenerate(self):
         sc = gaussian_scenario(bins=64, span=8.0, n_emitted=2000, seed=4)
