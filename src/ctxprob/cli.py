@@ -26,7 +26,7 @@ import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts, OutcomeSpace
 from .interference import KIND_LABELS
 from .twoslit import (
+    CONTEXT_IDS,
     ExperimentReport,
     ExplicitPhase,
     FreeWavePhase,
@@ -257,15 +258,15 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
             "p2": scenario.phase.momentum2,
             "h": scenario.phase.scaling,
         }
-    phase["theta"] = [float(t) for t in scenario.phase_table()]
+    phase["theta"] = scenario.phase_table().tolist()
     return {
         "grid": {
             "bins": scenario.grid.bins,
             "x_min": scenario.grid.x_min,
             "x_max": scenario.grid.x_max,
         },
-        "envelope1": list(scenario.envelope1),
-        "envelope2": list(scenario.envelope2),
+        "envelope1": scenario.envelope1.tolist(),
+        "envelope2": scenario.envelope2.tolist(),
         "phase": phase,
         "sampling": {
             "n_emitted": scenario.n_emitted,
@@ -276,28 +277,30 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
     }
 
 
-def _counts_document(counts: EnsembleCounts) -> dict:
-    return {
-        "context": counts.context_id,
-        "total_emitted": counts.total_emitted,
-        "total_detected": counts.total_detected,
-        "counts": {label: int(n) for label, n in counts.counts.items()},
-    }
-
-
 class RecordColumns(dict):
     """Records held as columns: ``node[name][i]`` is field ``name`` of record ``i``.
     It renders as the list of records, with NaN in a float64 array column as
-    ``null``; the other columns hold plain scalars."""
+    ``null``; the other columns hold plain scalars or are a :class:`JsonColumn`."""
+
+
+class JsonColumn(tuple):
+    """A :class:`RecordColumns` column of values already rendered as JSON text."""
 
 
 def report_document(report: ExperimentReport) -> dict:
     t = report.table
+    labels, x = report.labels, report.x
+    if report.bin_labels is None:  # each label is the text of its bin's finite x
+        x = JsonColumn(labels)
     return {
         "counts": {
-            "S": _counts_document(report.counts_s),
-            "S1": _counts_document(report.counts_s1),
-            "S2": _counts_document(report.counts_s2),
+            which: {
+                "context": which,
+                "total_emitted": emitted,
+                "total_detected": int(column.sum()),
+                "counts": dict(zip(labels, column.tolist())),
+            }
+            for which, emitted, column in zip(CONTEXT_IDS, report.emitted, report.counts)
         },
         "splitting": {
             "c1": report.coeffs.c1,
@@ -309,8 +312,8 @@ def report_document(report: ExperimentReport) -> dict:
         "violation_statistic": report.violation_statistic,
         "classification_tol": report.classification_tol,
         "bins": RecordColumns({
-            "bin": report.labels,
-            "x": report.x or (None,) * len(report.labels),
+            "bin": labels,
+            "x": (None,) * len(labels) if x is None else x,
             "p_s": t.p_s,
             "p_1": t.p1,
             "p_2": t.p2,
@@ -355,14 +358,19 @@ def _column(values) -> list[str] | None:
 BLOCK_ROWS = 4096
 
 
-def _cells(column, pad: str) -> list[str]:
-    """The JSON text of each value of a node column, indented at ``pad``."""
+def _cells(column, start: int, pad: str) -> list[str]:
+    """The JSON text of the values of a node column's block at ``start``, indented at ``pad``."""
+    if type(column) is JsonColumn:
+        return column[start:start + BLOCK_ROWS]
+    column = column[start:start + BLOCK_ROWS]
     if not isinstance(column, np.ndarray):
         return _column(column) or ["".join(_render(v, pad)) for v in column]
-    values = column.tolist()
-    cells = list(map(float.__repr__, values))
+    # Each distinct bit pattern is rendered once: a column of counts / N repeats few values.
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    cells = list(map(texts.__getitem__, index.tolist()))
     for i in np.flatnonzero(~np.isfinite(column)).tolist():  # NaN is null; +-inf raises
-        cells[i] = "null" if values[i] != values[i] else "".join(_render(values[i], pad))
+        cells[i] = "null" if np.isnan(column[i]) else "".join(_render(float(column[i]), pad))
     return cells
 
 
@@ -370,15 +378,20 @@ def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
     """The text of a record-columns node, :data:`BLOCK_ROWS` records per chunk."""
     names = sorted(node)
     inner, field = pad + "  ", pad + "    "
-    fields = (",\n" + field).join(
-        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names
-    )
-    row = "{\n" + field + fields + "\n" + inner + "}"
+    heads = [",\n" + field + encode_basestring_ascii(name) + ": " for name in names]
+    heads[0] = "{" + heads[0][1:]
+    close = "\n" + inner + "}"
+    # A record is the head and the text of each field in turn, then the close.
+    step = 2 * len(names) + 1
     rows = len(node[names[0]])
     for start in range(0, rows, BLOCK_ROWS):
-        block = [_cells(node[name][start:start + BLOCK_ROWS], field) for name in names]
-        text = (",\n" + inner).join(map(row.__mod__, zip(*block)))
-        yield ("," if start else "[") + "\n" + inner + text
+        count = min(BLOCK_ROWS, rows - start)
+        pieces = [close + ",\n" + inner] * (step * count)
+        for i, name in enumerate(names):
+            pieces[2 * i::step] = [heads[i]] * count
+            pieces[2 * i + 1::step] = _cells(node[name], start, field)
+        pieces[-1] = close
+        yield ("," if start else "[") + "\n" + inner + "".join(pieces)
     yield "\n" + pad + "]" if rows else "[]"
 
 
@@ -455,14 +468,15 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
     ``p_interference`` adds the cosine cross term. Both are the raw per-bin
     formula values, before any grid renormalization.
     """
-    p1 = np.asarray(scenario.envelope1, dtype=float)
-    p2 = np.asarray(scenario.envelope2, dtype=float)
+    p1, p2 = scenario.envelope1, scenario.envelope2
     theta = scenario.phase_table()
     columns = (
         scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
         interference_pattern(p1, p2, theta),
     )
-    return [(_PATTERN_ROW % row).split(",") for row in zip(*(c.tolist() for c in columns))]
+    starts = range(0, len(p1), BLOCK_ROWS)  # Python floats a block at a time
+    blocks = (zip(*(c[i:i + BLOCK_ROWS].tolist() for c in columns)) for i in starts)
+    return [(_PATTERN_ROW % row).split(",") for block in blocks for row in block]
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:
@@ -559,13 +573,19 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         raise
 
 
+def _text_blocks(lines: Iterable[str]) -> Iterator[str]:
+    """The lines as text, :data:`BLOCK_ROWS` lines per chunk."""
+    lines = iter(lines)
+    while block := list(islice(lines, BLOCK_ROWS)):
+        yield "\n".join(block) + "\n"
+
+
 def cmd_pattern(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    lines = [",".join(PATTERN_HEADER)]
-    lines.extend(",".join(row) for row in pattern_rows(scenario))
-    _emit(["\n".join(lines) + "\n"], args.out)
+    lines = chain([",".join(PATTERN_HEADER)], map(",".join, pattern_rows(scenario)))
+    _emit(_text_blocks(lines), args.out)
     return EXIT_OK
 
 
@@ -592,7 +612,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
     space = OutcomeSpace(tuple(bins))
     report = decompose_empirical(space, counts_s, counts_s1, counts_s2, tol=args.tol)
-    _emit(["\n".join(analyze_lines(report)) + "\n"], args.out)
+    _emit(_text_blocks(analyze_lines(report)), args.out)
     return EXIT_OK
 
 

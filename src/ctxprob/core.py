@@ -208,35 +208,6 @@ def validate_coefficients(coeffs: SplittingCoefficients) -> list[Violation]:
     return out
 
 
-def validate_counts(counts: EnsembleCounts) -> list[Violation]:
-    out: list[Violation] = []
-    for label, n in counts.counts.items():
-        if n < 0:
-            out.append(
-                Violation(
-                    "counts.nonnegative",
-                    f"context {counts.context_id!r} count {n!r} is negative",
-                    value=n,
-                    bin=label,
-                )
-            )
-    if counts.total_emitted < 0:
-        out.append(
-            Violation("counts.nonnegative", f"total_emitted = {counts.total_emitted!r} is negative",
-                      value=counts.total_emitted)
-        )
-    if counts.total_detected > counts.total_emitted:
-        out.append(
-            Violation(
-                "counts.detected_within_emitted",
-                f"context {counts.context_id!r} detected {counts.total_detected} systems "
-                f"but only {counts.total_emitted} were emitted",
-                value=counts.total_detected,
-            )
-        )
-    return out
-
-
 def validate_model(model: ContextualModel) -> list[Violation]:
     """Check every invariant of a contextual model.
 
@@ -266,12 +237,15 @@ def estimate_splitting(
     Raises:
         ZeroEnsemble: if the pooled context detected nothing.
     """
-    n = counts_s.total_detected
+    totals = (c.total_detected for c in (counts_s, counts_s1, counts_s2))
+    return splitting_from_totals(*totals)
+
+
+def splitting_from_totals(n: int, n1: int, n2: int) -> tuple[SplittingCoefficients, float]:
+    """:func:`estimate_splitting` on the detected totals ``N``, ``N1`` and ``N2``."""
     if n == 0:
         raise ZeroEnsemble("pooled context has zero detected systems")
-    c1 = counts_s1.total_detected / n
-    c2 = counts_s2.total_detected / n
-    coeffs = SplittingCoefficients(c1, c2, empirical=True)
+    coeffs = SplittingCoefficients(n1 / n, n2 / n, empirical=True)
     return coeffs, coeffs.deviation
 
 

@@ -100,6 +100,17 @@ DEGENERATE, TRIGONOMETRIC, HYPERBOLIC, BOUNDARY = range(4)
 KIND_LABELS = ("degenerate", "trigonometric", "hyperbolic", "boundary")
 
 
+def same_fields(a, b) -> bool:
+    """Field-by-field equality of two dataclasses of one type; arrays by value, NaN equal to NaN."""
+    if type(b) is not type(a):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(
+        np.array_equal(u, v, equal_nan=True) if np.ndarray in (type(u), type(v)) else u is v or u == v
+        for u, v in pairs
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class DecompositionTable:
     """Per-bin decomposition as columns indexed by bin position.
@@ -122,11 +133,7 @@ class DecompositionTable:
     stderr_theta: np.ndarray | None = None
     z: np.ndarray | None = None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DecompositionTable):
-            return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(a is b or np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+    __eq__ = same_fields
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,10 @@ branch distributions.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,10 +42,10 @@ from .core import (
     OutcomeSpace,
     SplittingCoefficients,
     Violation,
-    estimate_splitting,
+    splitting_from_totals,
 )
 from .errors import ScenarioError, ZeroEnsemble
-from .interference import DecompositionTable, decompose_arrays
+from .interference import DecompositionTable, decompose_arrays, same_fields
 
 CONTEXT_IDS = ("S", "S1", "S2")
 
@@ -76,20 +78,27 @@ class GridSpec:
         return self.x_min + (i + 0.5) * self.width
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(repr(float(x)) for x in self.midpoints())
+        return tuple(map(float.__repr__, self.midpoints().tolist()))
 
     def outcome_space(self) -> OutcomeSpace:
         return OutcomeSpace(self.labels())
 
 
-@dataclass(frozen=True, slots=True)
-class ExplicitPhase:
-    """Phase given directly as a per-bin table."""
+def _read_only(values) -> np.ndarray:
+    """A new read-only float64 array of ``values``, each converted by ``float``."""
+    array = np.array(values if isinstance(values, np.ndarray) else list(map(float, values)), float)
+    array.setflags(write=False)
+    return array
 
-    values: tuple[float, ...]
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ExplicitPhase:
+    """Phase given directly as a per-bin table, held as a read-only array."""
+
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", _read_only(self.values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,27 +117,28 @@ class FreeWavePhase:
 PhaseModel = ExplicitPhase | FreeWavePhase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoSlitScenario:
     """Geometry-free generative description of the two-slit experiment.
 
     ``envelope1``/``envelope2`` are per-bin densities aligned with the grid,
-    each summing to 1 over the grid. ``n_emitted`` is the number of particles
-    the source emits per context per run. The splitting coefficients are
-    fixed at ``(1/2, 1/2)`` by the symmetric-source assumption.
+    each summing to 1 over the grid, held as read-only float64 arrays.
+    ``n_emitted`` is the number of particles the source emits per context
+    per run. The splitting coefficients are fixed at ``(1/2, 1/2)`` by the
+    symmetric-source assumption.
     """
 
     grid: GridSpec
-    envelope1: tuple[float, ...]
-    envelope2: tuple[float, ...]
+    envelope1: np.ndarray
+    envelope2: np.ndarray
     phase: PhaseModel
     n_emitted: int
     runs: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "envelope1", tuple(float(v) for v in self.envelope1))
-        object.__setattr__(self, "envelope2", tuple(float(v) for v in self.envelope2))
+        object.__setattr__(self, "envelope1", _read_only(self.envelope1))
+        object.__setattr__(self, "envelope2", _read_only(self.envelope2))
 
     @property
     def coeffs(self) -> SplittingCoefficients:
@@ -137,12 +147,12 @@ class TwoSlitScenario:
     def phase_table(self) -> np.ndarray:
         """Per-bin phase difference ``theta(x)``."""
         if isinstance(self.phase, ExplicitPhase):
-            return np.asarray(self.phase.values, dtype=float)
+            return self.phase.values
         x = self.grid.midpoints()
         return (self.phase.momentum1 - self.phase.momentum2) * x / self.phase.scaling
 
 
-def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> tuple[float, ...]:
+def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> np.ndarray:
     """Gaussian density evaluated at bin midpoints, normalized over the grid."""
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
@@ -152,15 +162,15 @@ def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> tuple[float,
     total = float(v.sum())
     if total <= 0.0:
         raise ValueError("gaussian envelope underflows to zero on this grid")
-    return tuple(float(p) for p in v / total)
+    return _read_only(v / total)
 
 
-def uniform_envelope(grid: GridSpec) -> tuple[float, ...]:
+def uniform_envelope(grid: GridSpec) -> np.ndarray:
     """Flat density over the grid."""
-    return (1.0 / grid.bins,) * grid.bins
+    return _read_only(np.full(grid.bins, 1.0 / grid.bins))
 
 
-def table_envelope(values) -> tuple[float, ...]:
+def table_envelope(values) -> np.ndarray:
     """Arbitrary nonnegative per-bin weights, normalized by their sum."""
     v = [float(p) for p in values]
     if any(p < 0.0 for p in v):
@@ -168,7 +178,7 @@ def table_envelope(values) -> tuple[float, ...]:
     total = sum(v)
     if total <= 0.0:
         raise ValueError("table envelope sums to zero")
-    return tuple(p / total for p in v)
+    return _read_only(np.array(v) / total)
 
 
 def validate_grid(grid: GridSpec) -> list[Violation]:
@@ -195,24 +205,17 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
     out = validate_grid(grid)
     for name, env in (("envelope1", scenario.envelope1), ("envelope2", scenario.envelope2)):
         if len(env) != grid.bins:
-            out.append(
-                Violation(f"{name}.length", f"{len(env)} values for {grid.bins} bins")
-            )
+            out.append(Violation(f"{name}.length", f"{len(env)} values for {grid.bins} bins"))
             continue
-        if not all(map(math.isfinite, env)):
+        if not np.isfinite(env).all():
             out.append(Violation(f"{name}.finite", "envelope has non-finite entries"))
             continue
-        if any(p < 0.0 for p in env):
+        if (env < 0.0).any():
             out.append(Violation(f"{name}.nonnegative", "envelope has negative entries"))
-        total = sum(env)
+        total = sum(env.tolist())  # in order, so the decision and the printed total stay put
         if abs(total - 1.0) > ENVELOPE_SUM_TOL:
-            out.append(
-                Violation(
-                    f"{name}.normalized",
-                    f"envelope sums to {total!r}, not 1 within {ENVELOPE_SUM_TOL}",
-                    value=total,
-                )
-            )
+            message = f"envelope sums to {total!r}, not 1 within {ENVELOPE_SUM_TOL}"
+            out.append(Violation(f"{name}.normalized", message, value=total))
     phase = scenario.phase
     if isinstance(phase, ExplicitPhase) and len(phase.values) != grid.bins:
         out.append(Violation("phase.length", f"{len(phase.values)} phases for {grid.bins} bins"))
@@ -262,7 +265,7 @@ def interference_pattern(p1: np.ndarray, p2: np.ndarray, theta: np.ndarray) -> n
 def _distributions(scenario: TwoSlitScenario) -> tuple[tuple[np.ndarray, ...], float]:
     """The pattern and both envelopes renormalized over the grid (each context's
     sampling distribution, in ``CONTEXT_IDS`` order), and the pattern's raw grid sum."""
-    p1, p2 = (np.asarray(env, dtype=float) for env in (scenario.envelope1, scenario.envelope2))
+    p1, p2 = scenario.envelope1, scenario.envelope2
     raw = interference_pattern(p1, p2, scenario.phase_table())
     low = float(raw.min())
     if low < -1e-12:
@@ -293,20 +296,15 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     """
     _require_valid(scenario)
     pattern = _distributions(scenario)[0][0]
-    labels = scenario.grid.labels()
-    return ContextualDistribution("S", dict(zip(labels, (float(p) for p in pattern))))
-
-
-def _run_rng(scenario: TwoSlitScenario, context_index: int, run: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(context_index, run))
-    return np.random.Generator(np.random.Philox(seed=seq))
+    return ContextualDistribution("S", dict(zip(scenario.grid.labels(), pattern.tolist())))
 
 
 def _sample(
     scenario: TwoSlitScenario, distributions: tuple[np.ndarray, ...], context: int, run: int
 ) -> np.ndarray:
     """One collection period's histogram for the context at index ``context``."""
-    rng = _run_rng(scenario, context, run)
+    seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(context, run))
+    rng = np.random.Generator(np.random.Philox(seed=seq))
     detected = scenario.n_emitted
     if context:  # a branch context passes each system with probability 1/2
         detected = int(rng.binomial(detected, BRANCH_ACCEPTANCE))
@@ -323,55 +321,63 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
     _require_valid(scenario)
     distributions, _ = _distributions(scenario)
-    counts = _sample(scenario, distributions, CONTEXT_IDS.index(which), run)
-    return EnsembleCounts(
-        which,
-        dict(zip(scenario.grid.labels(), (int(c) for c in counts))),
-        scenario.n_emitted,
-    )
+    counts = _sample(scenario, distributions, CONTEXT_IDS.index(which), run).tolist()
+    return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts)), scenario.n_emitted)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
     """Everything estimated from the three ensembles of one experiment.
 
-    The per-bin estimates are the columns of ``table``, in the order of
-    ``labels``; ``x`` holds the bin positions on the detection line, if known.
+    ``counts`` holds the three histograms as int64 rows in the order of
+    :data:`CONTEXT_IDS`, and ``emitted`` the systems each context's source
+    emitted. The per-bin estimates are the columns of ``table``. All follow
+    the bins by position: ``x`` holds their places on the detection line
+    (NaN where unknown), if known, and ``bin_labels`` their labels; None
+    labels each bin by the ``repr`` of its place, as on a grid.
     """
 
-    counts_s: EnsembleCounts
-    counts_s1: EnsembleCounts
-    counts_s2: EnsembleCounts
+    counts: np.ndarray
+    emitted: tuple[int, int, int]
     coeffs: SplittingCoefficients
     coeff_deviation: float
-    labels: tuple[str, ...]
-    x: tuple[float | None, ...] | None
+    x: np.ndarray | None
     table: DecompositionTable
     violation_statistic: float
     classification_tol: float
     pattern_normalization: float | None = None
+    bin_labels: tuple[str, ...] | None = None
+
+    __eq__ = same_fields
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return self.bin_labels or tuple(map(float.__repr__, self.x.tolist()))
+
+    def _ensemble(self, context: int) -> EnsembleCounts:
+        counts = dict(zip(self.labels, self.counts[context].tolist()))
+        return EnsembleCounts(CONTEXT_IDS[context], counts, self.emitted[context])
+
+    counts_s = property(lambda self: self._ensemble(0))
+    counts_s1 = property(lambda self: self._ensemble(1))
+    counts_s2 = property(lambda self: self._ensemble(2))
 
 
 def _estimate(
-    labels: tuple[str, ...],
-    counts: tuple[EnsembleCounts, EnsembleCounts, EnsembleCounts],
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tol: float,
-    x: tuple[float | None, ...] | None,
-    pattern_normalization: float | None = None,
+    counts: np.ndarray, emitted: tuple[int, int, int], tol: float, x: np.ndarray | None,
+    labels: tuple[str, ...] | None = None, pattern_normalization: float | None = None,
 ) -> ExperimentReport:
-    """The report on three histograms whose counts are ``columns``, by bin position."""
-    counts_s, counts_s1, counts_s2 = counts
-    coeffs, deviation = estimate_splitting(counts_s1, counts_s2, counts_s)
-    totals = tuple(int(c.sum()) for c in columns)
-    for ensemble, total in zip(counts, totals):
+    """The report on the three histograms whose counts are the rows of ``counts``."""
+    totals = counts.sum(axis=1).tolist()
+    coeffs, deviation = splitting_from_totals(*totals)
+    for which, total in zip(CONTEXT_IDS, totals):
         if total == 0:
-            raise ZeroEnsemble(f"context {ensemble.context_id!r} has zero detected systems")
-    probs = (c / total for c, total in zip(columns, totals))
-    table = decompose_arrays(coeffs, *probs, tol, totals)
+            raise ZeroEnsemble(f"context {which!r} has zero detected systems")
+    probs = (c / total for c, total in zip(counts, totals))
+    table = decompose_arrays(coeffs, *probs, tol, tuple(totals))
     violation = float(np.max(table.z, initial=0.0, where=~np.isnan(table.z)))
     return ExperimentReport(
-        *counts, coeffs, deviation, labels, x, table, violation, tol, pattern_normalization
+        counts, emitted, coeffs, deviation, x, table, violation, tol, pattern_normalization, labels
     )
 
 
@@ -411,10 +417,10 @@ def decompose_empirical(
         ValueError: if a histogram's bins differ from ``space``, a count is
             negative, or a histogram totals 2**63 or more.
     """
-    counts = (counts_s, counts_s1, counts_s2)
-    columns = tuple(_positional(c, space.bins) for c in counts)
-    x = tuple(positions.get(label) for label in space.bins) if positions else None
-    return _estimate(space.bins, counts, columns, tol, x)
+    ensembles = (counts_s, counts_s1, counts_s2)
+    counts = np.stack([_positional(c, space.bins) for c in ensembles])
+    x = np.array([positions.get(b, math.nan) for b in space.bins], float) if positions else None
+    return _estimate(counts, tuple(c.total_emitted for c in ensembles), tol, x, space.bins)
 
 
 def run_experiment(
@@ -422,11 +428,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate all three contexts and estimate the decomposition.
 
-    The (context, run) pairs are split into one stripe per thread of a
-    ``workers``-thread pool; each thread adds its pairs' histograms into its
-    own counts, and the stripes' counts are added at the end. Because every
-    pair has its own random stream and the reduction is an integer sum, the
-    report is identical for any worker count and any scheduling.
+    The (context, run) pairs are split into one stripe per thread of a pool
+    of ``workers`` threads, at most one per CPU; each thread adds its pairs'
+    histograms into its own counts, and the stripes' counts are added at the
+    end. Because every pair has its own random stream and the reduction is an
+    integer sum, the report is identical for any worker count and scheduling.
 
     Raises:
         ZeroEnsemble: if a context ends up with no detected systems
@@ -438,7 +444,7 @@ def run_experiment(
         raise ZeroEnsemble("pooled context has zero detected systems")
 
     tasks = len(CONTEXT_IDS) * scenario.runs
-    stripes = min(workers, tasks)
+    stripes = min(workers, tasks, os.cpu_count() or 1)
 
     def stripe(first: int) -> np.ndarray:  # the pairs first, first + stripes, ...
         totals = np.zeros((len(CONTEXT_IDS), scenario.grid.bins), dtype=np.int64)
@@ -450,14 +456,9 @@ def run_experiment(
     with ThreadPoolExecutor(max_workers=stripes) as pool:
         totals = sum(pool.map(stripe, range(stripes)))
 
-    labels = scenario.grid.labels()
     emitted = scenario.n_emitted * scenario.runs
-    ensembles = tuple(
-        EnsembleCounts(which, dict(zip(labels, column.tolist())), emitted)
-        for which, column in zip(CONTEXT_IDS, totals)
-    )
-    x = tuple(scenario.grid.midpoints().tolist())
-    return _estimate(labels, ensembles, tuple(totals), tol, x, raw_total)
+    x = scenario.grid.midpoints()
+    return _estimate(totals, (emitted,) * 3, tol, x, pattern_normalization=raw_total)
 
 
 def alternative_condition_check(report: ExperimentReport, n_sigma: float) -> tuple[bool, float]:
@@ -470,10 +471,8 @@ def alternative_condition_check(report: ExperimentReport, n_sigma: float) -> tup
     Raises:
         ZeroEnsemble: if the pooled context detected nothing.
     """
-    n = report.counts_s.total_detected
+    n, n1, n2 = report.counts.sum(axis=1).tolist()
     if n == 0:
         raise ZeroEnsemble("pooled context has zero detected systems")
-    n1 = report.counts_s1.total_detected
-    n2 = report.counts_s2.total_detected
     deviation = abs(n1 + n2 - n) / math.sqrt(n)
     return deviation <= n_sigma, deviation

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import math
 import os
@@ -43,6 +44,30 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc) + "\n")
     return str(path)
+
+
+#: 4096 bins on [-0.001, 0.003]: 204 midpoints near 0 print in exponent form
+#: ("-4.882812499999462e-07"), so the counts objects' sorted keys interleave forms.
+SMALL_X = {
+    "grid": {"bins": 4096, "x_min": -0.001, "x_max": 0.003},
+    "envelopes": {
+        "slit1": {"kind": "gaussian", "mean": 0.0008, "sigma": 0.0007},
+        "slit2": {"kind": "gaussian", "mean": 0.0012, "sigma": 0.0007},
+    },
+    "phase": {"kind": "freewave", "p1": 2500.0, "p2": -2500.0},
+    "sampling": {"n_emitted": 100000, "runs": 2, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("argv, size, digest", [
+    (["--seed", "5", "simulate"], 2863909,
+     "ad8a3c31702c42f735545ad1a89e4e8a0d71c273e641c24334c8ef39a56cfc8e"),
+    (["pattern"], 472628, "d6b5014def432dcaa6518cfacd087efdfcd3822d1ce0aa32bab35946223e7558"),
+], ids=["simulate", "pattern"])
+def test_small_x_output_is_pinned(capsys, tmp_path, argv, size, digest):
+    code, out, _ = run_cli(capsys, *argv, write_scenario(tmp_path, **SMALL_X))
+    assert code == 0
+    assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
 
 
 class TestPattern:
@@ -584,7 +609,8 @@ def plain(value):
     """``value`` with each record-columns node replaced by its records, NaN read as None."""
     if isinstance(value, cli.RecordColumns):
         columns = [
-            [None if v != v else v for v in c.tolist()] if isinstance(c, np.ndarray) else list(c)
+            [None if v != v else v for v in c.tolist()] if isinstance(c, np.ndarray)
+            else list(map(json.loads, c)) if isinstance(c, cli.JsonColumn) else list(c)
             for c in value.values()
         ]
         return [dict(zip(value, row)) for row in zip(*columns)]
@@ -602,12 +628,15 @@ NODE_FLOATS = st.floats(allow_infinity=False) | st.sampled_from(
 
 @st.composite
 def record_columns(draw):
-    """A node of float64, str and None/int columns of one length."""
+    """A node of float64, str, None/int and JSON-text columns of one length."""
     rows = draw(st.integers(0, 9))
     column = st.sampled_from([
         st.lists(NODE_FLOATS, min_size=rows, max_size=rows).map(np.array),
         st.lists(TEXT, min_size=rows, max_size=rows),
         st.lists(st.none() | st.integers(), min_size=rows, max_size=rows),
+        st.lists(FLOATS, min_size=rows, max_size=rows).map(
+            lambda v: cli.JsonColumn(map(float.__repr__, v))
+        ),
     ])
     names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     return cli.RecordColumns({name: draw(draw(column)) for name in names})
@@ -622,6 +651,10 @@ class TestRenderJson:
         with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
             assert cli.render_json(doc) == canonical(plain(doc))
 
+
+    def test_equal_floats_of_other_bits_keep_their_own_text(self):
+        node = cli.RecordColumns({"v": np.array([0.0, -0.0, 1e16, -0.0, 0.0, math.nan, 1e16])})
+        assert cli.render_json([node, node]) == canonical(plain([node, node]))
 
     @given(DOCUMENTS)
     def test_matches_json_dumps(self, doc):

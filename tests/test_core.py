@@ -12,7 +12,7 @@ from ctxprob import (
     estimate_splitting,
     validate_model,
 )
-from ctxprob.core import validate_counts, validate_space
+from ctxprob.core import validate_space
 
 
 def three_bin_model(c1=0.5, c2=0.5, p_s1_a=0.2):
@@ -88,14 +88,6 @@ class TestSpaceAndCounts:
     def test_duplicate_labels(self):
         violations = validate_space(OutcomeSpace(("a", "a")))
         assert any(v.invariant == "space.unique_labels" for v in violations)
-
-    def test_counts_exceeding_emissions(self):
-        bad = counts("S", total_emitted=5, a=10)
-        assert any(v.invariant == "counts.detected_within_emitted" for v in validate_counts(bad))
-
-    def test_negative_count(self):
-        bad = EnsembleCounts("S", {"a": -1}, 10)
-        assert any(v.invariant == "counts.nonnegative" for v in validate_counts(bad))
 
 
 class TestEstimateSplitting:

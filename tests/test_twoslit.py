@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import time
 import tracemalloc
 
@@ -80,8 +81,8 @@ class TestScenarioValidation:
         sc = dataclasses.replace(
             sc,
             grid=GridSpec(sc.grid.bins, -math.inf, 4.0),
-            envelope1=(math.nan,) + sc.envelope1[1:],
-            envelope2=(math.inf,) + sc.envelope2[1:],
+            envelope1=(math.nan, *sc.envelope1[1:]),
+            envelope2=(math.inf, *sc.envelope2[1:]),
         )
         names = {v.invariant for v in validate_scenario(sc)}
         assert names == {"grid.range", "envelope1.finite", "envelope2.finite"}
@@ -122,7 +123,42 @@ class TestScenarioValidation:
             table_envelope([0.5, -0.1, 0.6])
         with pytest.raises(ValueError, match="zero"):
             table_envelope([0.0, 0.0])
-        assert table_envelope([2.0, 6.0]) == (0.25, 0.75)
+        assert table_envelope([2.0, 6.0]).tolist() == [0.25, 0.75]
+
+    def test_envelope_builders_match_the_tuple_arithmetic_bit_for_bit(self):
+        grid = GridSpec(1000, -3.7, 5.1)
+        x = grid.midpoints()
+        v = np.exp(-0.5 * ((x - 0.3) / 1.3) ** 2)
+        weights = np.random.default_rng(7).random(1000).tolist() + [3]
+        expected = {  # each builder's values as tuples of Python floats
+            "gaussian": tuple(float(p) for p in v / float(v.sum())),
+            "uniform": (1.0 / grid.bins,) * grid.bins,
+            "table": tuple(p / sum(weights) for p in weights),
+        }
+        built = {
+            "gaussian": gaussian_envelope(grid, 0.3, 1.3),
+            "uniform": uniform_envelope(grid),
+            "table": table_envelope(weights),
+        }
+        for name, envelope in built.items():
+            assert envelope.dtype == np.float64, name
+            assert envelope.tobytes() == np.array(expected[name]).tobytes(), name
+
+    def test_envelopes_and_explicit_phases_are_read_only(self):
+        grid = GridSpec(8, 0.0, 1.0)
+        given = np.full(8, 1 / 8)
+        sc = TwoSlitScenario(grid, given, [1 / 8] * 8, ExplicitPhase([0.5] * 8), 100)
+        given[0] = 9.0  # the scenario holds its own copy
+        assert sc.envelope1[0] == 1 / 8
+        arrays = (
+            sc.envelope1, sc.envelope2, sc.phase.values, gaussian_envelope(grid, 0.5, 1.0),
+            uniform_envelope(grid), table_envelope([1.0] * 8),
+        )
+        for values in arrays:
+            assert values.dtype == np.float64
+            assert values.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
 
 class TestAnalyticPattern:
@@ -313,6 +349,30 @@ class TestRunExperiment:
                 tracemalloc.stop()
             assert peak < 3.5e6, (bins, runs)
 
+    def test_memory_does_not_grow_past_the_cpu_count(self):
+        # Each stripe holds its own (3, 16384) int64 counts, 384 KiB: 64
+        # stripes would hold 24 MiB at once, but no more run than CPUs.
+        sc = gaussian_scenario(bins=16384, n_emitted=1000, runs=64, seed=3)
+        peaks = []
+        for workers in (os.cpu_count() or 1, 64):
+            tracemalloc.start()
+            try:
+                run_experiment(sc, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 * 3 * 16384 * 8
+
+    def test_counts_are_one_int64_array(self):
+        sc = gaussian_scenario(bins=64, n_emitted=1000, runs=2, seed=9)
+        report = run_experiment(sc)
+        assert report.counts.dtype == np.int64 and report.counts.shape == (3, 64)
+        assert report.labels == sc.grid.labels()
+        ensembles = (report.counts_s, report.counts_s1, report.counts_s2)
+        for which, row, ensemble in zip(("S", "S1", "S2"), report.counts.tolist(), ensembles):
+            assert ensemble.context_id == which and ensemble.total_emitted == 2000
+            assert ensemble.counts == dict(zip(sc.grid.labels(), row))
+
     def test_empty_branch_bins_marked_degenerate(self):
         sc = gaussian_scenario(bins=64, span=8.0, n_emitted=2000, seed=4)
         report = run_experiment(sc)
@@ -350,13 +410,9 @@ class TestRunExperiment:
 class TestAlternativeCondition:
     def test_exact_mean_counts_pass_with_zero_deviation(self):
         report = run_experiment(gaussian_scenario(n_emitted=1000, seed=8))
-        half = {b: 0 for b in report.counts_s.counts}
-        half[next(iter(half))] = 500
-        forced = dataclasses.replace(
-            report,
-            counts_s1=EnsembleCounts("S1", half, 1000),
-            counts_s2=EnsembleCounts("S2", half, 1000),
-        )
+        half = np.zeros_like(report.counts[0])
+        half[0] = 500
+        forced = dataclasses.replace(report, counts=np.stack([report.counts[0], half, half]))
         passed, deviation = alternative_condition_check(forced, 5.0)
         assert passed and deviation == 0.0
 
@@ -380,22 +436,23 @@ class TestAlternativeCondition:
         n = 10**4
         rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(99)))
         report = run_experiment(gaussian_scenario(n_emitted=n, seed=13))
-        labels = list(report.counts_s.counts)
-        bad = {}
-        for which in ("S1", "S2"):
+        bins = report.counts.shape[1]
+        bad = []
+        for _ in ("S1", "S2"):
             detected = int(rng.binomial(n, 0.6))
-            counts = rng.multinomial(detected, np.full(len(labels), 1.0 / len(labels)))
-            bad[which] = EnsembleCounts(which, dict(zip(labels, map(int, counts))), n)
-        forced = dataclasses.replace(report, counts_s1=bad["S1"], counts_s2=bad["S2"])
+            bad.append(rng.multinomial(detected, np.full(bins, 1.0 / bins)))
+        forced = dataclasses.replace(report, counts=np.stack([report.counts[0], *bad]))
         passed, deviation = alternative_condition_check(forced, 5.0)
         assert not passed
         assert deviation > 15.0  # expectation is 0.2 * sqrt(10^4) = 20
 
     def test_zero_ensemble_rejected(self):
         report = run_experiment(gaussian_scenario(n_emitted=100, seed=1))
-        empty = EnsembleCounts("S", {b: 0 for b in report.counts_s.counts}, 0)
+        counts = report.counts.copy()
+        counts[0] = 0
+        empty = dataclasses.replace(report, counts=counts, emitted=(0, *report.emitted[1:]))
         with pytest.raises(ZeroEnsemble):
-            alternative_condition_check(dataclasses.replace(report, counts_s=empty), 5.0)
+            alternative_condition_check(empty, 5.0)
 
 
 class TestReportShape:
