@@ -32,7 +32,6 @@ from .errors import (
 from .interference import (
     Boundary,
     Hyperbolic,
-    InterferenceDecomposition,
     InterferenceKind,
     Trigonometric,
     classify,
@@ -81,7 +80,6 @@ __all__ = [
     "NormalizationError", "ConsistencyError", "ScenarioError",
     # interference
     "Trigonometric", "Hyperbolic", "Boundary", "InterferenceKind",
-    "InterferenceDecomposition",
     "total_probability", "perturbation_delta", "lambda_coefficient",
     "classify", "decompose", "forward_trig", "forward_hyp",
     # amplitudes

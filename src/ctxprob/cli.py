@@ -23,9 +23,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -258,15 +259,15 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
             "p2": scenario.phase.momentum2,
             "h": scenario.phase.scaling,
         }
-    phase["theta"] = scenario.phase_table().tolist()
+    phase["theta"] = scenario.phase_table()
     return {
         "grid": {
             "bins": scenario.grid.bins,
             "x_min": scenario.grid.x_min,
             "x_max": scenario.grid.x_max,
         },
-        "envelope1": scenario.envelope1.tolist(),
-        "envelope2": scenario.envelope2.tolist(),
+        "envelope1": scenario.envelope1,
+        "envelope2": scenario.envelope2,
         "phase": phase,
         "sampling": {
             "n_emitted": scenario.n_emitted,
@@ -284,7 +285,11 @@ class RecordColumns(dict):
 
 
 class JsonColumn(tuple):
-    """A :class:`RecordColumns` column of values already rendered as JSON text."""
+    """A :class:`RecordColumns` column of values already rendered as JSON text; so is each slice."""
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        return JsonColumn(item) if type(index) is slice else item
 
 
 def report_document(report: ExperimentReport) -> dict:
@@ -305,7 +310,7 @@ def report_document(report: ExperimentReport) -> dict:
         "splitting": {
             "c1": report.coeffs.c1,
             "c2": report.coeffs.c2,
-            "deviation": report.coeff_deviation,
+            "deviation": report.coeffs.deviation,
             "empirical": report.coeffs.empirical,
         },
         "pattern_normalization": report.pattern_normalization,
@@ -340,8 +345,21 @@ _SCALARS = {
 }
 
 
-def _column(values) -> list[str] | None:
-    """The JSON text of each value, or None unless all are plain finite scalars."""
+def _column(values) -> Sequence[str] | None:
+    """The JSON text of each value of a run: a :class:`JsonColumn` is text already, a 1-D
+    float64 array's NaN is ``null`` and its +-inf raises json's ``ValueError``, and any
+    other run has text (else None) if all its values are plain finite scalars."""
+    kind = type(values)
+    if kind is JsonColumn:
+        return values
+    if kind is np.ndarray:
+        infinite = values[np.isinf(values)]
+        if len(infinite):  # json's own error, which names the value when indenting
+            json.dumps(infinite[0].item(), indent=2, allow_nan=False)
+        # Each distinct bit pattern is rendered once: a column of counts / N repeats few values.
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        texts = ["null" if v != v else repr(v) for v in bits.view(np.float64).tolist()]
+        return list(map(texts.__getitem__, index.tolist()))
     types = set(map(type, values))
     if not types <= _SCALARS.keys():
         return None
@@ -358,22 +376,6 @@ def _column(values) -> list[str] | None:
 BLOCK_ROWS = 4096
 
 
-def _cells(column, start: int, pad: str) -> list[str]:
-    """The JSON text of the values of a node column's block at ``start``, indented at ``pad``."""
-    if type(column) is JsonColumn:
-        return column[start:start + BLOCK_ROWS]
-    column = column[start:start + BLOCK_ROWS]
-    if not isinstance(column, np.ndarray):
-        return _column(column) or ["".join(_render(v, pad)) for v in column]
-    # Each distinct bit pattern is rendered once: a column of counts / N repeats few values.
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
-    cells = list(map(texts.__getitem__, index.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():  # NaN is null; +-inf raises
-        cells[i] = "null" if np.isnan(column[i]) else "".join(_render(float(column[i]), pad))
-    return cells
-
-
 def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
     """The text of a record-columns node, :data:`BLOCK_ROWS` records per chunk."""
     names = sorted(node)
@@ -388,8 +390,9 @@ def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
         count = min(BLOCK_ROWS, rows - start)
         pieces = [close + ",\n" + inner] * (step * count)
         for i, name in enumerate(names):
+            block = node[name][start:start + BLOCK_ROWS]
             pieces[2 * i::step] = [heads[i]] * count
-            pieces[2 * i + 1::step] = _cells(node[name], start, field)
+            pieces[2 * i + 1::step] = _column(block) or ["".join(_render(v, field)) for v in block]
         pieces[-1] = close
         yield ("," if start else "[") + "\n" + inner + "".join(pieces)
     yield "\n" + pad + "]" if rows else "[]"
@@ -397,43 +400,41 @@ def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
 
 def _render(value, pad: str) -> Iterator[str]:
     """The text of ``value``, indented at ``pad``, in chunks."""
-    inner = pad + "  "
     kind = type(value)
-    if kind is dict and value and all(type(k) is str for k in value):
+    if kind is dict and all(type(k) is str for k in value):
         keys = sorted(value)
-        names = [encode_basestring_ascii(k) + ": " for k in keys]
-        column = _column([value[k] for k in keys])
-        yield "{\n" + inner
-        if column is not None:
-            yield (",\n" + inner).join(map(str.__add__, names, column))
-        else:
-            for i, (name, key) in enumerate(zip(names, keys)):
-                yield ",\n" + inner + name if i else name
-                yield from _render(value[key], inner)
-        yield "\n" + pad + "}"
-    elif (kind is list or kind is tuple) and value:
-        column = _column(value)
-        yield "[\n" + inner
-        if column is not None:
-            yield (",\n" + inner).join(column)
-        else:
-            for i, item in enumerate(value):
-                if i:
-                    yield ",\n" + inner
-                yield from _render(item, inner)
-        yield "\n" + pad + "]"
+        heads = [encode_basestring_ascii(k) + ": " for k in keys]
+        items, brackets = [value[k] for k in keys], "{}"
+    elif kind in (list, tuple) or kind is np.ndarray and value.dtype == float and value.ndim == 1:
+        heads, items, brackets = None, value, "[]"
     elif kind is RecordColumns:
         yield from _record_rows(value, pad)
+        return
     else:
         column = _column((value,))
         if column is not None:
             yield column[0]
         else:
-            # Empty containers, non-str keys, subclasses, non-finite floats and
-            # unserializable objects: json's own text (or error), re-indented.
-            # JSON strings never hold a raw newline, so the replace is exact.
+            # Non-str keys, subclasses, non-finite floats and unserializable
+            # objects: json's own text (or error), re-indented. JSON strings
+            # never hold a raw newline, so the replace is exact.
             text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
             yield text.replace("\n", "\n" + pad)
+        return
+    if not len(items):
+        yield brackets
+        return
+    inner = pad + "  "
+    comma = ",\n" + inner
+    column = _column(items)
+    yield brackets[0] + "\n" + inner
+    if column is not None:
+        yield comma.join(column if heads is None else map(str.__add__, heads, column))
+    else:
+        for i, item in enumerate(items):
+            yield (comma if i else "") + (heads[i] if heads else "")
+            yield from _render(item, inner)
+    yield "\n" + pad + brackets[1]
 
 
 def render_json(doc: dict) -> str:
@@ -441,10 +442,11 @@ def render_json(doc: dict) -> str:
 
     The text equals ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``, and a non-finite float raises the same
-    ``ValueError``; a :class:`RecordColumns` node renders as its records.
-    With ``indent`` set, ``json.dumps`` encodes value by value in Python;
-    here a run of plain scalars (a list, a dict's values, a node's column)
-    is rendered as one column.
+    ``ValueError``. A 1-D float64 array, anywhere in ``doc``, renders as the
+    list of its values with NaN as ``null``; a :class:`RecordColumns` node
+    renders as its records. With ``indent`` set, ``json.dumps`` encodes value
+    by value in Python; here each run of values (a list, a dict's values, an
+    array, a node's column) is rendered as one column.
     """
     return "".join(_render(doc, "")) + "\n"
 
@@ -484,15 +486,18 @@ def analyze_lines(report: ExperimentReport) -> list[str]:
     t = report.table
     # hyperbolic kinds carry their sign: ("", "+", "-")[sign] for sign 0, 1, -1
     kinds = [KIND_LABELS[k] + ("", "+", "-")[s] for k, s in zip(t.kind.tolist(), t.sign.tolist())]
+    labels, special = report.labels, re.compile(r'[,"\r\n]')
+    if special.search("".join(labels)):  # one scan of all labels; quote as csv.QUOTE_MINIMAL does
+        labels = ['"%s"' % s.replace('"', '""') if special.search(s) else s for s in labels]
     rows = zip(
-        report.labels, t.p_s.tolist(), t.p1.tolist(), t.p2.tolist(), t.delta.tolist(),
+        labels, t.p_s.tolist(), t.p1.tolist(), t.p2.tolist(), t.delta.tolist(),
         _opt_column(t.lam), kinds, _opt_column(t.theta), _opt_column(t.stderr_lambda),
     )
     lines = [",".join(ANALYZE_HEADER)]
     lines.extend(map(_ANALYZE_ROW.__mod__, rows))
     lines.append(f"# splitting_c1 = {fmt15(report.coeffs.c1)}")
     lines.append(f"# splitting_c2 = {fmt15(report.coeffs.c2)}")
-    lines.append(f"# splitting_deviation = {fmt15(report.coeff_deviation)}")
+    lines.append(f"# splitting_deviation = {fmt15(report.coeffs.deviation)}")
     lines.append(f"# violation_statistic = {fmt15(report.violation_statistic)}")
     return lines
 
@@ -582,8 +587,6 @@ def _text_blocks(lines: Iterable[str]) -> Iterator[str]:
 
 def cmd_pattern(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
     lines = chain([",".join(PATTERN_HEADER)], map(",".join, pattern_rows(scenario)))
     _emit(_text_blocks(lines), args.out)
     return EXIT_OK

@@ -238,15 +238,15 @@ def estimate_splitting(
         ZeroEnsemble: if the pooled context detected nothing.
     """
     totals = (c.total_detected for c in (counts_s, counts_s1, counts_s2))
-    return splitting_from_totals(*totals)
+    coeffs = splitting_from_totals(*totals)
+    return coeffs, coeffs.deviation
 
 
-def splitting_from_totals(n: int, n1: int, n2: int) -> tuple[SplittingCoefficients, float]:
-    """:func:`estimate_splitting` on the detected totals ``N``, ``N1`` and ``N2``."""
+def splitting_from_totals(n: int, n1: int, n2: int) -> SplittingCoefficients:
+    """:func:`estimate_splitting`'s coefficients from the detected totals ``N``, ``N1``, ``N2``."""
     if n == 0:
         raise ZeroEnsemble("pooled context has zero detected systems")
-    coeffs = SplittingCoefficients(n1 / n, n2 / n, empirical=True)
-    return coeffs, coeffs.deviation
+    return SplittingCoefficients(n1 / n, n2 / n, empirical=True)
 
 
 def empirical_distribution(counts: EnsembleCounts) -> ContextualDistribution:

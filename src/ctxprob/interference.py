@@ -43,7 +43,6 @@ import numpy as np
 from .core import (
     DISTRIBUTION_SUM_TOL,
     ContextualModel,
-    OutcomeSpace,
     SplittingCoefficients,
     validate_coefficients,
     validate_coverage,
@@ -134,16 +133,6 @@ class DecompositionTable:
     z: np.ndarray | None = None
 
     __eq__ = same_fields
-
-
-@dataclass(frozen=True)
-class InterferenceDecomposition:
-    """Per-bin decomposition of a contextual model, in the order of ``space.bins``."""
-
-    space: OutcomeSpace
-    coeffs: SplittingCoefficients
-    tol: float
-    table: DecompositionTable
 
 
 def total_probability(coeffs: SplittingCoefficients, p1: float, p2: float) -> float:
@@ -341,10 +330,10 @@ def decompose_arrays(
     return DecompositionTable(*columns, stderr_lambda, stderr_theta, z)
 
 
-def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceDecomposition:
+def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> DecompositionTable:
     """Per-bin interference decomposition of a validated contextual model.
 
-    Each bin yields the classical mixture part, the perturbation, the
+    The table's columns follow ``model.space.bins``. Each bin yields the classical mixture part, the perturbation, the
     normalized coefficient and its classification. Bins where a weighted
     branch probability vanishes are marked :data:`DEGENERATE` instead of
     aborting the whole decomposition; real envelopes vanish in their tails
@@ -368,5 +357,4 @@ def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> Inte
             "cannot decompose an invalid model: " + "; ".join(str(v) for v in violations)
         )
     columns = [np.fromiter((d.probs[b] for b in space.bins), float, len(space)) for d in dists]
-    table = decompose_arrays(model.coeffs, *columns, tol)
-    return InterferenceDecomposition(space, model.coeffs, tol, table)
+    return decompose_arrays(model.coeffs, *columns, tol)

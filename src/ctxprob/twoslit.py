@@ -340,7 +340,6 @@ class ExperimentReport:
     counts: np.ndarray
     emitted: tuple[int, int, int]
     coeffs: SplittingCoefficients
-    coeff_deviation: float
     x: np.ndarray | None
     table: DecompositionTable
     violation_statistic: float
@@ -369,7 +368,7 @@ def _estimate(
 ) -> ExperimentReport:
     """The report on the three histograms whose counts are the rows of ``counts``."""
     totals = counts.sum(axis=1).tolist()
-    coeffs, deviation = splitting_from_totals(*totals)
+    coeffs = splitting_from_totals(*totals)
     for which, total in zip(CONTEXT_IDS, totals):
         if total == 0:
             raise ZeroEnsemble(f"context {which!r} has zero detected systems")
@@ -377,7 +376,7 @@ def _estimate(
     table = decompose_arrays(coeffs, *probs, tol, tuple(totals))
     violation = float(np.max(table.z, initial=0.0, where=~np.isnan(table.z)))
     return ExperimentReport(
-        counts, emitted, coeffs, deviation, x, table, violation, tol, pattern_normalization, labels
+        counts, emitted, coeffs, x, table, violation, tol, pattern_normalization, labels
     )
 
 

@@ -266,7 +266,7 @@ class TestDecompose:
         p_s = ContextualDistribution(
             "S", {b: total_probability(HALF, p1.probs[b], p2.probs[b]) for b in space.bins}
         )
-        t = decompose(ContextualModel(space, p_s, p1, p2, HALF)).table
+        t = decompose(ContextualModel(space, p_s, p1, p2, HALF))
         for lam, kind, theta in zip(t.lam, t.kind, t.theta):
             assert lam == pytest.approx(0.0, abs=1e-12)
             assert kind == TRIGONOMETRIC
@@ -279,14 +279,13 @@ class TestDecompose:
     )
     def test_two_bin_round_trip(self, a, b, theta_a):
         model, theta_u, theta_v = two_bin_model(a, b, theta_a)
-        result = decompose(model)
-        t = result.table
-        assert result.space.bins == ("u", "v")
+        t = decompose(model)
+        assert model.space.bins == ("u", "v")
         assert t.kind.tolist() == [TRIGONOMETRIC, TRIGONOMETRIC]
         assert t.theta[0] == pytest.approx(theta_u, abs=1e-9)
         assert t.theta[1] == pytest.approx(theta_v, abs=1e-9)
         # reconstruction reproduces the pooled distribution bin by bin
-        for i, label in enumerate(result.space.bins):
+        for i, label in enumerate(model.space.bins):
             p1 = model.dist_s1.probs[label]
             p2 = model.dist_s2.probs[label]
             g2 = 2.0 * math.sqrt(0.25 * p1 * p2)
@@ -314,7 +313,7 @@ class TestDecompose:
             ContextualDistribution("S2", dict(zip(labels, env))),
             c,
         )
-        t = decompose(model).table
+        t = decompose(model)
         folded = np.arccos(np.cos(theta))
         assert len(t.kind) == len(folded)
         for kind, recovered, expected in zip(t.kind, t.theta, folded):
@@ -326,7 +325,7 @@ class TestDecompose:
         p1 = ContextualDistribution("S1", {"u": 0.0, "v": 0.5, "w": 0.5})
         p2 = ContextualDistribution("S2", {"u": 0.2, "v": 0.4, "w": 0.4})
         p_s = ContextualDistribution("S", {"u": 0.1, "v": 0.45, "w": 0.45})
-        t = decompose(ContextualModel(space, p_s, p1, p2, HALF)).table
+        t = decompose(ContextualModel(space, p_s, p1, p2, HALF))
         assert t.kind.tolist() == [DEGENERATE, TRIGONOMETRIC, TRIGONOMETRIC]
         assert math.isnan(t.lam[0])
 

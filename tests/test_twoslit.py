@@ -402,7 +402,7 @@ class TestRunExperiment:
         bound = 5.0 / (2.0 * math.sqrt(n))
         assert abs(report.coeffs.c1 - 0.5) <= bound
         assert abs(report.coeffs.c2 - 0.5) <= bound
-        assert report.coeff_deviation == pytest.approx(
+        assert report.coeffs.deviation == pytest.approx(
             abs(report.coeffs.c1 + report.coeffs.c2 - 1.0), abs=1e-15
         )
 
