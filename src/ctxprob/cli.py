@@ -11,7 +11,9 @@ Three subcommands:
 Exit codes: 0 success, 2 input/parse error, 3 runtime or statistical error.
 Tabular output uses 15 significant digits; JSON reports use shortest
 round-trip float rendering with sorted keys, so parse/re-serialize is
-byte-identical. If the environment variable ``CTXPROB_OUT_DIR`` is set,
+byte-identical. Both formats render each distinct value of a float column
+once. ``analyze`` reads back the labels with line breaks that it writes
+quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
 relative ``--out`` paths are resolved under it.
 """
 
@@ -65,20 +67,26 @@ ANALYZE_HEADER = [
     "bin", "p_hat_S", "p_hat_1", "p_hat_2", "delta", "lambda", "kind", "theta", "stderr_lambda",
 ]
 
-# One row per format; "%.15g" renders as fmt15 does. The analyze cells after
-# delta arrive as strings because they may be empty.
-_PATTERN_ROW = ",".join(["%.15g"] * len(PATTERN_HEADER))
-_ANALYZE_ROW = "%s,%.15g,%.15g,%.15g,%.15g,%s,%s,%s,%s"
-
 
 def fmt15(value: float) -> str:
     """Render a float with 15 significant digits."""
     return format(value, ".15g")
 
 
-def _opt_column(column: np.ndarray) -> list[str]:
-    """:func:`fmt15` of every value in a column, with an empty cell for NaN."""
-    return ["" if v != v else "%.15g" % v for v in column.tolist()]
+def _texts(values: np.ndarray, fmt, nan: str) -> tuple[str, ...]:
+    """``fmt`` of each value of a 1-D float64 array, with ``nan`` for NaN.
+
+    Each distinct bit pattern is formatted once (a column of counts / N, or a
+    symmetric envelope, repeats its values). A tuple of str is one object the
+    garbage collector stops tracking, so it is not traversed again while a
+    caller builds rows from it.
+    """
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = list(map(fmt, distinct.tolist()))
+    for i in np.flatnonzero(np.isnan(distinct)).tolist():
+        texts[i] = nan
+    return tuple(map(texts.__getitem__, index.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +364,7 @@ def _column(values) -> Sequence[str] | None:
         infinite = values[np.isinf(values)]
         if len(infinite):  # json's own error, which names the value when indenting
             json.dumps(infinite[0].item(), indent=2, allow_nan=False)
-        # Each distinct bit pattern is rendered once: a column of counts / N repeats few values.
-        bits, index = np.unique(values.view(np.int64), return_inverse=True)
-        texts = ["null" if v != v else repr(v) for v in bits.view(np.float64).tolist()]
-        return list(map(texts.__getitem__, index.tolist()))
+        return _texts(values, repr, "null")
     types = set(map(type, values))
     if not types <= _SCALARS.keys():
         return None
@@ -476,25 +481,24 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
         scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
         interference_pattern(p1, p2, theta),
     )
-    starts = range(0, len(p1), BLOCK_ROWS)  # Python floats a block at a time
-    blocks = (zip(*(c[i:i + BLOCK_ROWS].tolist() for c in columns)) for i in starts)
-    return [(_PATTERN_ROW % row).split(",") for block in blocks for row in block]
+    return list(map(list, zip(*(_texts(c, "%.15g".__mod__, "nan") for c in columns))))
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:
     """Analysis table plus '#'-prefixed summary lines."""
     t = report.table
-    # hyperbolic kinds carry their sign: ("", "+", "-")[sign] for sign 0, 1, -1
-    kinds = [KIND_LABELS[k] + ("", "+", "-")[s] for k, s in zip(t.kind.tolist(), t.sign.tolist())]
+    # hyperbolic kinds carry their sign: ("", "+", "-")[sign % 3] for sign 0, 1, -1
+    names = [kind + mark for kind in KIND_LABELS for mark in ("", "+", "-")]
+    kinds = map(names.__getitem__, (3 * t.kind + t.sign % 3).tolist())
     labels, special = report.labels, re.compile(r'[,"\r\n]')
     if special.search("".join(labels)):  # one scan of all labels; quote as csv.QUOTE_MINIMAL does
         labels = ['"%s"' % s.replace('"', '""') if special.search(s) else s for s in labels]
-    rows = zip(
-        labels, t.p_s.tolist(), t.p1.tolist(), t.p2.tolist(), t.delta.tolist(),
-        _opt_column(t.lam), kinds, _opt_column(t.theta), _opt_column(t.stderr_lambda),
+    p_s, p1, p2, delta, lam, theta, stderr = (
+        _texts(c, "%.15g".__mod__, "")
+        for c in (t.p_s, t.p1, t.p2, t.delta, t.lam, t.theta, t.stderr_lambda)
     )
     lines = [",".join(ANALYZE_HEADER)]
-    lines.extend(map(_ANALYZE_ROW.__mod__, rows))
+    lines.extend(map(",".join, zip(labels, p_s, p1, p2, delta, lam, kinds, theta, stderr)))
     lines.append(f"# splitting_c1 = {fmt15(report.coeffs.c1)}")
     lines.append(f"# splitting_c2 = {fmt15(report.coeffs.c2)}")
     lines.append(f"# splitting_deviation = {fmt15(report.coeffs.deviation)}")
@@ -510,32 +514,37 @@ def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
             malformed counts, or a total of 2**63 or more.
     """
     problems: list[tuple[str, str]] = []
+    counts: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # csv reads the file itself, so a quoted label keeps its line breaks.
+        with open(path, encoding="utf-8", newline="") as stream:
+            reader = csv.reader(stream)
+            rows = filter(None, reader)  # blank lines are skipped, yet counted in line_num
+            header = next(rows, None)
+            if header is None or [cell.strip() for cell in header] != ["bin", "count"]:
+                stream.read()  # an undecodable file is reported as such, whatever its header
+                raise ScenarioError([(path, "first row must be the header 'bin,count'")])
+            for row in rows:
+                if len(row) != 2:
+                    problems.append((f"{path}:{reader.line_num}", f"expected 2 fields, got {len(row)}"))
+                    continue
+                label, value = row[0], row[1]
+                if label in counts:
+                    problems.append((f"{path}:{reader.line_num}", f"duplicate bin {label!r}"))
+                    continue
+                try:
+                    n = int(value)
+                except ValueError:
+                    problems.append((f"{path}:{reader.line_num}", f"count {value!r} is not an integer"))
+                    continue
+                if n < 0:
+                    problems.append((f"{path}:{reader.line_num}", f"count {n} is negative"))
+                    continue
+                counts[label] = n
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([(path, f"cannot read counts file: {exc}")])
-    reader = csv.reader(text.splitlines())
-    rows = [row for row in reader if row]
-    if not rows or [cell.strip() for cell in rows[0]] != ["bin", "count"]:
-        raise ScenarioError([(path, "first row must be the header 'bin,count'")])
-    counts: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            problems.append((f"{path}:{lineno}", f"expected 2 fields, got {len(row)}"))
-            continue
-        label, value = row[0], row[1]
-        if label in counts:
-            problems.append((f"{path}:{lineno}", f"duplicate bin {label!r}"))
-            continue
-        try:
-            n = int(value)
-        except ValueError:
-            problems.append((f"{path}:{lineno}", f"count {value!r} is not an integer"))
-            continue
-        if n < 0:
-            problems.append((f"{path}:{lineno}", f"count {n} is negative"))
-            continue
-        counts[label] = n
+    except csv.Error as exc:  # a field beyond csv.field_size_limit()
+        raise ScenarioError([(f"{path}:{reader.line_num}", str(exc))])
     if problems:
         raise ScenarioError(problems)
     if not counts:
@@ -606,10 +615,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     counts_s = read_counts_csv(args.counts_s, "S")
     counts_s1 = read_counts_csv(args.counts_s1, "S1")
     counts_s2 = read_counts_csv(args.counts_s2, "S2")
-    bins = list(counts_s.counts)
+    bins = counts_s.counts.keys()
     for path, other in ((args.counts_s1, counts_s1), (args.counts_s2, counts_s2)):
-        if set(other.counts) != set(bins):
-            missing = sorted(set(bins) ^ set(other.counts))
+        if other.counts.keys() != bins:
+            missing = sorted(other.counts.keys() ^ bins)
             raise ScenarioError(
                 [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
             )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctxprob import ScenarioError, cli
-from ctxprob.twoslit import MAX_RUNS
+from ctxprob.core import EnsembleCounts, OutcomeSpace
+from ctxprob.interference import KIND_LABELS
+from ctxprob.twoslit import MAX_RUNS, decompose_empirical, interference_pattern
 
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(__file__).parent.parent / "src"
@@ -571,6 +574,41 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: cannot read counts file")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_labels_with_line_breaks_round_trip(self, capsys, tmp_path, newline):
+        # A quoted break stays in its label; a form feed, a line boundary of
+        # str.splitlines but not of csv, neither splits its row nor is quoted.
+        labels = ["a\nb", "c\x0cd", "e\r\nf", "g"]
+        files = []
+        for name, counts in (("s", (30, 70, 20, 5)), ("s1", (50, 50, 10, 5)), ("s2", (40, 60, 30, 5))):
+            path = tmp_path / f"{name}.csv"
+            with path.open("w", newline="") as stream:
+                csv.writer(stream, lineterminator=newline).writerows([("bin", "count"), *zip(labels, counts)])
+            files.append(str(path))
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "analyze", *files, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        with out_path.open(newline="") as stream:
+            rows = [row for row in csv.reader(stream) if not row[0].startswith("#")]
+        assert [len(row) for row in rows] == [9] * 5
+        assert [row[0] for row in rows[1:]] == labels
+
+    def test_line_numbers_count_blank_lines(self, capsys, tmp_path):
+        (tmp_path / "s.csv").write_text("bin,count\n\n\na,x\n")
+        (tmp_path / "ok.csv").write_text("bin,count\na,25\n")
+        path = str(tmp_path / "s.csv")
+        code, out, err = run_cli(capsys, "analyze", path, str(tmp_path / "ok.csv"), str(tmp_path / "ok.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:4: count 'x' is not an integer\n"
+
+    def test_field_beyond_the_csv_limit_exit_2(self, capsys, tmp_path):
+        (tmp_path / "s.csv").write_text("bin,count\na,5\n" + "b" * (csv.field_size_limit() + 1) + ",5\n")
+        (tmp_path / "ok.csv").write_text("bin,count\na,25\n")
+        path = str(tmp_path / "s.csv")
+        code, out, err = run_cli(capsys, "analyze", path, str(tmp_path / "ok.csv"), str(tmp_path / "ok.csv"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}:3: field larger than field limit")
+
     def test_classification_tolerance_is_forwarded(self, capsys, tmp_path):
         # These counts give lambda = +-0.8; a wide band absorbs them.
         (tmp_path / "s.csv").write_text("bin,count\na,90\nb,10\n")
@@ -714,6 +752,96 @@ class TestRenderJson:
         with pytest.raises(ValueError) as raised:
             cli.render_json(doc)
         assert str(raised.value) == str(expected.value)
+
+
+CSV_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e16, 1e-05, math.nan])
+
+
+def reference_cells(column):
+    """The CSV cell of each value, formatted one by one: "%.15g", or empty for NaN."""
+    return ["" if v != v else "%.15g" % v for v in column.tolist()]
+
+
+def per_bin(values, bins):
+    return st.lists(values, min_size=bins, max_size=bins)
+
+
+@st.composite
+def pattern_scenarios(draw):
+    """Scenarios whose columns repeat values: asymmetric Gaussians, tables, explicit phases."""
+    bins = draw(st.integers(1, 24))
+    repeated = st.sampled_from([0.0, 0.25, 1.0, 3.0, 1e-05])
+    envelope = st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.just("gaussian"), "mean": st.floats(-3.0, 3.0), "sigma": st.floats(0.2, 5.0),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("table"), "values": per_bin(repeated | st.floats(0.0, 2.0), bins),
+        }),
+    ).filter(lambda e: e["kind"] != "table" or sum(e["values"]) > 0)
+    phase = st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.just("explicit"), "values": per_bin(repeated | st.floats(-10.0, 10.0), bins),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("freewave"), "p1": st.floats(-5.0, 5.0), "p2": st.floats(-5.0, 5.0),
+        }),
+    )
+    doc = {
+        **SCENARIO,
+        "grid": {"bins": bins, "x_min": -4.0, "x_max": draw(st.sampled_from([4.0, 1.5]))},
+        "envelopes": {"slit1": draw(envelope), "slit2": draw(envelope)},
+        "phase": draw(phase),
+    }
+    return cli.parse_scenario(doc)
+
+
+@st.composite
+def count_reports(draw):
+    """decompose_empirical reports over labels that need quoting, with zero (degenerate) bins."""
+    label = TEXT | st.sampled_from(["a,b", 'q"', "l\nm", "r\r"])
+    labels = draw(st.lists(label, min_size=1, max_size=12, unique=True))
+    files = []
+    for context in ("S", "S1", "S2"):
+        counts = draw(per_bin(st.integers(0, 6) | st.sampled_from([0, 100]), len(labels)))
+        counts[0] += 1  # no context detects nothing
+        files.append(EnsembleCounts(context, dict(zip(labels, counts)), sum(counts)))
+    return decompose_empirical(OutcomeSpace(tuple(labels)), *files)
+
+
+class TestCsvCells:
+    """Each distinct value of a column is formatted once, to the text it had per value."""
+
+    @given(st.lists(CSV_FLOATS, max_size=40), st.integers(1, 4))
+    def test_cells_match_the_per_value_format(self, values, repeats):
+        column = np.array(values * repeats, float)
+        assert list(cli._texts(column, "%.15g".__mod__, "")) == reference_cells(column)
+        assert list(cli._texts(column[::-1], "%.15g".__mod__, "")) == reference_cells(column[::-1])
+
+    @given(pattern_scenarios())
+    def test_pattern_rows_match_the_row_format(self, scenario):
+        p1, p2 = scenario.envelope1, scenario.envelope2
+        theta = scenario.phase_table()
+        columns = (
+            scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
+            interference_pattern(p1, p2, theta),
+        )
+        row_format = ",".join(["%.15g"] * 6)
+        expected = [(row_format % row).split(",") for row in zip(*(c.tolist() for c in columns))]
+        assert cli.pattern_rows(scenario) == expected
+
+    @given(count_reports())
+    def test_analyze_lines_match_the_row_format(self, report):
+        t = report.table
+        kinds = [KIND_LABELS[k] + ("", "+", "-")[s] for k, s in zip(t.kind.tolist(), t.sign.tolist())]
+        special = re.compile(r'[,"\r\n]')
+        quoted = ['"%s"' % s.replace('"', '""') if special.search(s) else s for s in report.labels]
+        rows = zip(
+            quoted, t.p_s.tolist(), t.p1.tolist(), t.p2.tolist(), t.delta.tolist(),
+            reference_cells(t.lam), kinds, reference_cells(t.theta), reference_cells(t.stderr_lambda),
+        )
+        expected = ["%s,%.15g,%.15g,%.15g,%.15g,%s,%s,%s,%s" % row for row in rows]
+        assert cli.analyze_lines(report)[1:-4] == expected
 
 
 def src_env():
