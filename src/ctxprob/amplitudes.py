@@ -21,12 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import OutcomeSpace, SplittingCoefficients
+from .core import DISTRIBUTION_SUM_TOL, OutcomeSpace, SplittingCoefficients
 from .errors import NormalizationError
 from .interference import forward_hyp
-
-#: Absolute tolerance on the total squared modulus of a probability wave.
-WAVE_NORMALIZATION_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,10 +199,10 @@ def synthesize_two_slit_wave(
         )
     wave = ProbabilityWave(space, amps, tuple(theta), (0.0,) * n, h)
     defect = wave.normalization_defect()
-    if defect > WAVE_NORMALIZATION_TOL:
+    if defect > DISTRIBUTION_SUM_TOL:
         raise NormalizationError(
             f"total squared modulus deviates from 1 by {defect!r} "
-            f"(tolerance {WAVE_NORMALIZATION_TOL})"
+            f"(tolerance {DISTRIBUTION_SUM_TOL})"
         )
     return wave
 

@@ -14,7 +14,9 @@ round-trip float rendering with sorted keys, so parse/re-serialize is
 byte-identical. Both formats render each distinct value of a float column
 once. ``analyze`` reads back the labels with line breaks that it writes
 quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
-relative ``--out`` paths are resolved under it.
+relative ``--out`` paths are resolved under it. Without ``--out`` the output
+is streamed to stdout, so a render that fails partway leaves a partial
+document there; ``--out`` replaces a plain file only once it is complete.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from . import __version__
 from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts, OutcomeSpace
-from .interference import KIND_LABELS
+from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS
 from .twoslit import (
     CONTEXT_IDS,
     ExperimentReport,
@@ -68,9 +70,8 @@ ANALYZE_HEADER = [
 ]
 
 
-def fmt15(value: float) -> str:
-    """Render a float with 15 significant digits."""
-    return format(value, ".15g")
+#: Render a float with 15 significant digits.
+fmt15 = "%.15g".__mod__
 
 
 def _texts(values: np.ndarray, fmt, nan: str) -> tuple[str, ...]:
@@ -124,6 +125,21 @@ def _get(doc: dict, path: str, key: str, kind, errors: list, default=None, requi
     return value
 
 
+def _per_bin(doc: dict, path: str, grid: GridSpec | None, errors: list, build):
+    """``build`` of the per-bin ``values`` list at ``path``, one entry per bin of ``grid``."""
+    values = _get(doc, path, "values", list, errors)
+    if values is None:
+        return None
+    if grid is not None and len(values) != grid.bins:
+        errors.append((f"{path}.values", f"{len(values)} values for {grid.bins} bins"))
+        return None
+    try:
+        return build(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        errors.append((f"{path}.values", str(exc)))
+        return None
+
+
 def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: list):
     kind = _get(doc, path, "kind", str, errors)
     if kind is None:
@@ -144,17 +160,7 @@ def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: list):
     if kind == "uniform":
         return uniform_envelope(grid) if grid is not None else None
     if kind == "table":
-        values = _get(doc, path, "values", list, errors)
-        if values is None:
-            return None
-        if grid is not None and len(values) != grid.bins:
-            errors.append((f"{path}.values", f"{len(values)} values for {grid.bins} bins"))
-            return None
-        try:
-            return table_envelope(values)
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append((f"{path}.values", str(exc)))
-            return None
+        return _per_bin(doc, path, grid, errors, table_envelope)
     errors.append((f"{path}.kind", f"unknown envelope kind {kind!r}"))
     return None
 
@@ -164,17 +170,7 @@ def _parse_phase(doc: dict, grid: GridSpec | None, errors: list):
     if kind is None:
         return None
     if kind == "explicit":
-        values = _get(doc, "phase", "values", list, errors)
-        if values is None:
-            return None
-        if grid is not None and len(values) != grid.bins:
-            errors.append(("phase.values", f"{len(values)} values for {grid.bins} bins"))
-            return None
-        try:
-            return ExplicitPhase(tuple(values))
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(("phase.values", str(exc)))
-            return None
+        return _per_bin(doc, "phase", grid, errors, ExplicitPhase)
     if kind == "freewave":
         p1 = _get(doc, "phase", "p1", float, errors)
         p2 = _get(doc, "phase", "p2", float, errors)
@@ -307,13 +303,13 @@ def report_document(report: ExperimentReport) -> dict:
         x = JsonColumn(labels)
     return {
         "counts": {
-            which: {
-                "context": which,
-                "total_emitted": emitted,
-                "total_detected": int(column.sum()),
-                "counts": dict(zip(labels, column.tolist())),
+            c.context_id: {
+                "context": c.context_id,
+                "total_emitted": c.total_emitted,
+                "total_detected": c.total_detected,
+                "counts": c.counts,
             }
-            for which, emitted, column in zip(CONTEXT_IDS, report.emitted, report.counts)
+            for c in (report.counts_s, report.counts_s1, report.counts_s2)
         },
         "splitting": {
             "c1": report.coeffs.c1,
@@ -481,7 +477,7 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
         scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
         interference_pattern(p1, p2, theta),
     )
-    return list(map(list, zip(*(_texts(c, "%.15g".__mod__, "nan") for c in columns))))
+    return list(map(list, zip(*(_texts(c, fmt15, "nan") for c in columns))))
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:
@@ -494,7 +490,7 @@ def analyze_lines(report: ExperimentReport) -> list[str]:
     if special.search("".join(labels)):  # one scan of all labels; quote as csv.QUOTE_MINIMAL does
         labels = ['"%s"' % s.replace('"', '""') if special.search(s) else s for s in labels]
     p_s, p1, p2, delta, lam, theta, stderr = (
-        _texts(c, "%.15g".__mod__, "")
+        _texts(c, fmt15, "")
         for c in (t.p_s, t.p1, t.p2, t.delta, t.lam, t.theta, t.stderr_lambda)
     )
     lines = [",".join(ANALYZE_HEADER)]
@@ -612,18 +608,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    counts_s = read_counts_csv(args.counts_s, "S")
-    counts_s1 = read_counts_csv(args.counts_s1, "S1")
-    counts_s2 = read_counts_csv(args.counts_s2, "S2")
-    bins = counts_s.counts.keys()
-    for path, other in ((args.counts_s1, counts_s1), (args.counts_s2, counts_s2)):
+    paths = (args.counts_s, args.counts_s1, args.counts_s2)
+    ensembles = [read_counts_csv(path, which) for path, which in zip(paths, CONTEXT_IDS)]
+    bins = ensembles[0].counts.keys()
+    for path, other in zip(paths[1:], ensembles[1:]):
         if other.counts.keys() != bins:
             missing = sorted(other.counts.keys() ^ bins)
             raise ScenarioError(
                 [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
             )
     space = OutcomeSpace(tuple(bins))
-    report = decompose_empirical(space, counts_s, counts_s1, counts_s2, tol=args.tol)
+    report = decompose_empirical(space, *ensembles, tol=args.tol)
     _emit(_text_blocks(analyze_lines(report)), args.out)
     return EXIT_OK
 
@@ -649,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument(
-        "--tol", type=_tolerance, default=1e-9,
+        "--tol", type=_tolerance, default=DEFAULT_CLASSIFY_TOL,
         help="classification tolerance around |lambda| = 1 (finite, positive)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,12 +21,14 @@ streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ZeroEnsemble
 
-#: Absolute tolerance on the sum of an exact distribution. Chosen to absorb
-#: double-precision accumulation error over up to ~1e6 bins.
+#: Absolute tolerance on the sum of an exact distribution: a context's
+#: probabilities, a two-slit envelope or a wave's squared moduli. Chosen to
+#: absorb double-precision accumulation error over up to ~1e6 bins.
 DISTRIBUTION_SUM_TOL = 1e-9
 
 #: Absolute tolerance on ``c1 + c2 - 1`` for exact splitting coefficients.
@@ -192,10 +194,11 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
 
 def validate_coefficients(coeffs: SplittingCoefficients) -> list[Violation]:
     out: list[Violation] = []
-    if coeffs.c1 < 0.0:
-        out.append(Violation("coefficients.nonnegative", f"c1 = {coeffs.c1!r} is negative", value=coeffs.c1))
-    if coeffs.c2 < 0.0:
-        out.append(Violation("coefficients.nonnegative", f"c2 = {coeffs.c2!r} is negative", value=coeffs.c2))
+    for name, c in (("c1", coeffs.c1), ("c2", coeffs.c2)):
+        if not math.isfinite(c):  # NaN compares False, so the checks below pass it
+            out.append(Violation("coefficients.finite", f"{name} = {c!r} is not finite", value=c))
+        elif c < 0.0:
+            out.append(Violation("coefficients.nonnegative", f"{name} = {c!r} is negative", value=c))
     if not coeffs.empirical and coeffs.deviation > EXACT_COEFF_TOL:
         out.append(
             Violation(

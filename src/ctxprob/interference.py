@@ -80,7 +80,7 @@ class Hyperbolic:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.theta < 0.0:
+        if not self.theta >= 0.0:
             raise ValueError(f"hyperbolic phase {self.theta!r} is negative")
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign!r}")
@@ -187,8 +187,10 @@ def classify(lam: float, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceKind:
     because magnitude exactly 1 belongs to both regimes, so no arbitrary
     branch is picked.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"classification tolerance must be positive, got {tol!r}")
+    if math.isnan(lam):
+        raise ValueError("cannot classify a NaN coefficient")
     mag = abs(lam)
     if mag < 1.0 - tol:
         return Trigonometric(math.acos(lam))

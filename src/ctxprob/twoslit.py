@@ -37,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    DISTRIBUTION_SUM_TOL,
     ContextualDistribution,
     EnsembleCounts,
     OutcomeSpace,
@@ -45,15 +46,13 @@ from .core import (
     splitting_from_totals,
 )
 from .errors import ScenarioError, ZeroEnsemble
-from .interference import DecompositionTable, decompose_arrays, same_fields
+from .interference import DEFAULT_CLASSIFY_TOL, DecompositionTable, decompose_arrays, same_fields
 
 CONTEXT_IDS = ("S", "S1", "S2")
 
 #: Acceptance probability of a branch context; half the emitted systems
 #: reach the screen when only one opening is active.
 BRANCH_ACCEPTANCE = 0.5
-
-ENVELOPE_SUM_TOL = 1e-9
 
 #: Largest grid accepted: ``pattern`` and ``simulate`` peak near 1 KB of memory per bin.
 MAX_BINS = 2**21
@@ -178,6 +177,8 @@ def table_envelope(values) -> np.ndarray:
     total = sum(v)
     if total <= 0.0:
         raise ValueError("table envelope sums to zero")
+    if total == math.inf:  # NaN weights are left to validate_scenario's finiteness check
+        raise ValueError("table envelope weights sum to infinity")
     return _read_only(np.array(v) / total)
 
 
@@ -213,8 +214,8 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
         if (env < 0.0).any():
             out.append(Violation(f"{name}.nonnegative", "envelope has negative entries"))
         total = sum(env.tolist())  # in order, so the decision and the printed total stay put
-        if abs(total - 1.0) > ENVELOPE_SUM_TOL:
-            message = f"envelope sums to {total!r}, not 1 within {ENVELOPE_SUM_TOL}"
+        if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
+            message = f"envelope sums to {total!r}, not 1 within {DISTRIBUTION_SUM_TOL}"
             out.append(Violation(f"{name}.normalized", message, value=total))
     phase = scenario.phase
     if isinstance(phase, ExplicitPhase) and len(phase.values) != grid.bins:
@@ -265,6 +266,7 @@ def interference_pattern(p1: np.ndarray, p2: np.ndarray, theta: np.ndarray) -> n
 def _distributions(scenario: TwoSlitScenario) -> tuple[tuple[np.ndarray, ...], float]:
     """The pattern and both envelopes renormalized over the grid (each context's
     sampling distribution, in ``CONTEXT_IDS`` order), and the pattern's raw grid sum."""
+    _require_valid(scenario)
     p1, p2 = scenario.envelope1, scenario.envelope2
     raw = interference_pattern(p1, p2, scenario.phase_table())
     low = float(raw.min())
@@ -284,7 +286,6 @@ def pattern_normalization(scenario: TwoSlitScenario) -> float:
     a finite grid; the deviation of this constant from 1 diagnoses grid
     truncation.
     """
-    _require_valid(scenario)
     return _distributions(scenario)[1]
 
 
@@ -294,7 +295,6 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     Evaluates ``(1/2) * (p1 + p2 + 2*sqrt(p1*p2)*cos(theta))`` on every bin
     and renormalizes the grid sum to 1 (see :func:`pattern_normalization`).
     """
-    _require_valid(scenario)
     pattern = _distributions(scenario)[0][0]
     return ContextualDistribution("S", dict(zip(scenario.grid.labels(), pattern.tolist())))
 
@@ -319,7 +319,6 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
     """
     if which not in CONTEXT_IDS:
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
-    _require_valid(scenario)
     distributions, _ = _distributions(scenario)
     counts = _sample(scenario, distributions, CONTEXT_IDS.index(which), run).tolist()
     return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts)), scenario.n_emitted)
@@ -399,7 +398,7 @@ def decompose_empirical(
     counts_s: EnsembleCounts,
     counts_s1: EnsembleCounts,
     counts_s2: EnsembleCounts,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_CLASSIFY_TOL,
     positions: dict[str, float] | None = None,
 ) -> ExperimentReport:
     """Estimate the full interference decomposition from three histograms.
@@ -423,7 +422,7 @@ def decompose_empirical(
 
 
 def run_experiment(
-    scenario: TwoSlitScenario, tol: float = 1e-9, workers: int = 1
+    scenario: TwoSlitScenario, tol: float = DEFAULT_CLASSIFY_TOL, workers: int = 1
 ) -> ExperimentReport:
     """Simulate all three contexts and estimate the decomposition.
 
@@ -437,7 +436,6 @@ def run_experiment(
         ZeroEnsemble: if a context ends up with no detected systems
             (for example ``n_emitted = 0``, which draws nothing).
     """
-    _require_valid(scenario)
     distributions, raw_total = _distributions(scenario)
     if scenario.n_emitted == 0:
         raise ZeroEnsemble("pooled context has zero detected systems")

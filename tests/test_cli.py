@@ -296,12 +296,32 @@ class TestSimulate:
         ("phase.values", {"phase": {"kind": "explicit", "values": [10**400] * 16}}),
         ("grid.bins", {"grid": {"bins": 2**63, "x_min": -4.0, "x_max": 4.0},
                        "envelopes": {"slit1": {"kind": "uniform"}, "slit2": {"kind": "uniform"}}}),
+        ("envelopes.slit1.values", {"envelopes": {  # each weight finite, their sum not
+            "slit1": {"kind": "table", "values": [1e308] * 16}, "slit2": {"kind": "uniform"}}}),
     ])
     def test_overflowing_numbers_exit_2(self, capsys, tmp_path, command, field, overrides):
         path = write_scenario(tmp_path, **overrides)
         code, out, err = run_cli(capsys, command, path)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("field, doc", [
+        ("envelopes.slit1.values", lambda values: {"envelopes": {
+            "slit1": {"kind": "table", "values": values}, "slit2": {"kind": "uniform"}}}),
+        ("phase.values", lambda values: {"phase": {"kind": "explicit", "values": values}}),
+    ], ids=["table", "explicit"])
+    @pytest.mark.parametrize("values, message", [
+        (5, "expected an array, got 5"),
+        ([1.0] * 15, "15 values for 16 bins"),
+        ([1.0] * 15 + ["a"], "could not convert string to float: 'a'"),
+        ([None] + [1.0] * 15,
+         "float() argument must be a string or a real number, not 'NoneType'"),
+    ], ids=["not-a-list", "length", "string", "null"])
+    def test_per_bin_list_errors_exit_2(self, capsys, tmp_path, field, doc, values, message):
+        path = write_scenario(tmp_path, **doc(values))
+        code, out, err = run_cli(capsys, "pattern", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {field}: {message}\n"
 
     @pytest.mark.parametrize("text, message", [
         (b'{"grid": \xff}', "cannot read scenario file"),

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +61,16 @@ class TestValidateModel:
         model = three_bin_model()
         model = ContextualModel(model.space, model.dist_s, model.dist_s1, model.dist_s2, bad)
         assert any(v.invariant == "coefficients.nonnegative" for v in validate_model(model))
+
+    @pytest.mark.parametrize("c1, empirical", [
+        (math.nan, False), (math.inf, True), (math.nan, True),
+    ], ids=["nan-exact", "inf-empirical", "nan-empirical"])
+    def test_non_finite_coefficient_rejected(self, c1, empirical):
+        model = three_bin_model()
+        coeffs = SplittingCoefficients(c1, 0.5, empirical=empirical)
+        model = ContextualModel(model.space, model.dist_s, model.dist_s1, model.dist_s2, coeffs)
+        finite = [v for v in validate_model(model) if v.invariant == "coefficients.finite"]
+        assert [v.message for v in finite] == [f"c1 = {c1!r} is not finite"]
 
     def test_missing_bin_reported(self):
         space = OutcomeSpace(("a", "b"))

@@ -124,6 +124,16 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(0.5, tol=0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: classify(0.5, tol=math.nan),
+        lambda: classify(math.nan),
+        lambda: Hyperbolic(math.nan, 1),
+        lambda: Trigonometric(math.nan),
+    ], ids=["classify-tol", "classify-lambda", "hyperbolic", "trigonometric"])
+    def test_nan_is_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     @given(lam=st.floats(-0.999999, 0.999999))
     def test_trig_round_trip(self, lam):
         kind = classify(lam, tol=1e-9)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from ctxprob import cli
+
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -14,3 +16,14 @@ def test_library_quickstart_runs():
     assert names["lam"] == pytest.approx(0.8)
     assert abs(names["amp"]) ** 2 == pytest.approx(0.9)
     assert names["report"].violation_statistic > 5.0
+
+
+def test_scenario_example_runs(capsys, tmp_path):
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    scenario, report = tmp_path / "scenario.json", tmp_path / "report.json"
+    scenario.write_text(block)
+    assert cli.main(["pattern", str(scenario)]) == 0
+    assert capsys.readouterr().out.count("\n") == 257  # the header and 256 bins
+    assert cli.main(["simulate", str(scenario), "--out", str(report)]) == 0
+    assert report.stat().st_size > 0
+    assert capsys.readouterr() == ("", "")
