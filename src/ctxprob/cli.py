@@ -12,11 +12,12 @@ Exit codes: 0 success, 2 input/parse error, 3 runtime or statistical error.
 Tabular output uses 15 significant digits; JSON reports use shortest
 round-trip float rendering with sorted keys, so parse/re-serialize is
 byte-identical. Both formats render each distinct value of a float column
-once. ``analyze`` reads back the labels with line breaks that it writes
-quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
-relative ``--out`` paths are resolved under it. Without ``--out`` the output
-is streamed to stdout, so a render that fails partway leaves a partial
-document there; ``--out`` replaces a plain file only once it is complete.
+once, and ``pattern`` reuses the texts of a column equal to an earlier one.
+``analyze`` reads back the labels with line breaks that it writes quoted. If
+the environment variable ``CTXPROB_OUT_DIR`` is set, relative ``--out`` paths
+are resolved under it. Without ``--out`` the output is streamed to stdout, so
+a render that fails partway leaves a partial document there; ``--out``
+replaces a plain file only once it is complete.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ContextualError, ScenarioError
-from .core import EnsembleCounts, OutcomeSpace
+from .core import EnsembleCounts
 from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS
 from .twoslit import (
     CONTEXT_IDS,
@@ -48,12 +49,13 @@ from .twoslit import (
     FreeWavePhase,
     GridSpec,
     TwoSlitScenario,
-    decompose_empirical,
     gaussian_envelope,
     interference_pattern,
     run_experiment,
     table_envelope,
     uniform_envelope,
+    _aligned,
+    _estimate,
     _require_valid,
     validate_grid,
 )
@@ -132,6 +134,10 @@ def _per_bin(doc: dict, path: str, grid: GridSpec | None, errors: list, build):
         return None
     if grid is not None and len(values) != grid.bins:
         errors.append((f"{path}.values", f"{len(values)} values for {grid.bins} bins"))
+        return None
+    if not set(map(type, values)) <= {int, float}:  # strings, booleans and null, as in _get
+        wrong = next(v for v in values if type(v) not in (int, float))
+        errors.append((f"{path}.values", f"expected {_KINDS[float][1]}, got {wrong!r}"))
         return None
     try:
         return build(values)
@@ -477,7 +483,11 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
         scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
         interference_pattern(p1, p2, theta),
     )
-    return list(map(list, zip(*(_texts(c, fmt15, "nan") for c in columns))))
+    bits, texts = [c.view(np.int64) for c in columns], []
+    for column, b in zip(columns, bits):  # an earlier column equal bit for bit: reuse its texts
+        same = [t for a, t in zip(bits, texts) if np.array_equal(a, b)]
+        texts.append(same[0] if same else _texts(column, fmt15, "nan"))
+    return list(map(list, zip(*texts)))
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:
@@ -617,8 +627,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise ScenarioError(
                 [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
             )
-    space = OutcomeSpace(tuple(bins))
-    report = decompose_empirical(space, *ensembles, tol=args.tol)
+    labels, emitted = tuple(bins), tuple(e.total_emitted for e in ensembles)
+    report = _estimate(_aligned(ensembles, labels), emitted, args.tol, None, labels)
     _emit(_text_blocks(analyze_lines(report)), args.out)
     return EXIT_OK
 

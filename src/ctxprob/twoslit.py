@@ -379,18 +379,10 @@ def _estimate(
     )
 
 
-def _positional(counts: EnsembleCounts, labels: tuple[str, ...]) -> np.ndarray:
-    """A histogram's counts in the order of ``labels``, which it must cover exactly."""
-    values = counts.counts
-    if len(values) != len(labels) or values.keys() != set(labels):
-        differences = sorted(set(labels) ^ values.keys())
-        raise ValueError(
-            f"context {counts.context_id!r} counts do not cover the outcome space "
-            f"exactly (first differences: {differences[:5]})"
-        )
-    if counts.total_detected >= 2**63:  # the totals are int64
-        raise ValueError(f"context {counts.context_id!r} counts total 2**63 or more")
-    return np.fromiter(map(values.__getitem__, labels), dtype=np.int64, count=len(labels))
+def _aligned(ensembles, labels: tuple[str, ...]) -> np.ndarray:
+    """The counts of histograms holding the bins ``labels``, as int64 rows in that order."""
+    rows = [np.fromiter(map(c.counts.__getitem__, labels), np.int64, len(labels)) for c in ensembles]
+    return np.stack(rows)
 
 
 def decompose_empirical(
@@ -415,8 +407,16 @@ def decompose_empirical(
         ValueError: if a histogram's bins differ from ``space``, a count is
             negative, or a histogram totals 2**63 or more.
     """
-    ensembles = (counts_s, counts_s1, counts_s2)
-    counts = np.stack([_positional(c, space.bins) for c in ensembles])
+    ensembles, bins = (counts_s, counts_s1, counts_s2), set(space.bins)
+    for c in ensembles:
+        if len(c.counts) != len(space.bins) or c.counts.keys() != bins:
+            raise ValueError(
+                f"context {c.context_id!r} counts do not cover the outcome space exactly "
+                f"(first differences: {sorted(bins ^ c.counts.keys())[:5]})"
+            )
+        if c.total_detected >= 2**63:  # the totals are int64
+            raise ValueError(f"context {c.context_id!r} counts total 2**63 or more")
+    counts = _aligned(ensembles, space.bins)
     x = np.array([positions.get(b, math.nan) for b in space.bins], float) if positions else None
     return _estimate(counts, tuple(c.total_emitted for c in ensembles), tol, x, space.bins)
 

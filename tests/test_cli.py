@@ -115,6 +115,39 @@ class TestPattern:
             i = min(range(len(xs)), key=lambda j: abs(xs[j] - node_x))
             assert full[i] < 0.02 * classical[i]
 
+    @pytest.mark.parametrize("overrides, formatted", [
+        ({"envelopes": {"slit1": {"kind": "table", "values": list(range(1, 17))},
+                        "slit2": {"kind": "table", "values": list(range(16, 0, -1))}},
+          "phase": {"kind": "explicit", "values": [0.37 * i - 2.0 for i in range(16)]}}, 6),
+        ({"envelopes": {"slit1": {"kind": "gaussian", "mean": -1.0, "sigma": 1.0},
+                        "slit2": {"kind": "gaussian", "mean": 1.0, "sigma": 0.5}},
+          "phase": {"kind": "explicit", "values": [math.sin(i) for i in range(16)]}}, 6),
+        ({}, 4),  # p2 and p_classical are p1
+        ({"phase": {"kind": "freewave", "p1": 0.5, "p2": -0.5}}, 3),  # and theta is x
+        ({"envelopes": {"slit1": {"kind": "table", "values": [0, 1] * 8},
+                        "slit2": {"kind": "table", "values": [0, 1] * 8}},
+          "phase": {"kind": "explicit", "values": [-0.0, 0.125] * 8}}, 4),  # -0.0 is not 0.0
+    ], ids=["asymmetric-tables", "asymmetric-explicit", "symmetric", "phase-is-x", "signed-zero"])
+    def test_cells_are_the_per_value_format_of_each_column(
+        self, capsys, tmp_path, monkeypatch, overrides, formatted
+    ):
+        path = write_scenario(tmp_path, **overrides)
+        scenario = cli.load_scenario(path)
+        p1, p2, theta = scenario.envelope1, scenario.envelope2, scenario.phase_table()
+        columns = (
+            scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
+            interference_pattern(p1, p2, theta),
+        )
+        calls = []
+        texts = cli._texts
+        monkeypatch.setattr(cli, "_texts", lambda *args: calls.append(args) or texts(*args))
+        code, out, _ = run_cli(capsys, "pattern", path)
+        assert code == 0
+        # Formatted once per column that is not bit for bit an earlier one.
+        assert len(calls) == formatted
+        expected = [",".join("%.15g" % v for v in row) for row in zip(*(c.tolist() for c in columns))]
+        assert out.splitlines() == [",".join(cli.PATTERN_HEADER), *expected]
+
     def test_missing_file_exits_2_and_names_path(self, capsys):
         code, out, err = run_cli(capsys, "pattern", "no_such_scenario.json")
         assert code == 2
@@ -313,10 +346,11 @@ class TestSimulate:
     @pytest.mark.parametrize("values, message", [
         (5, "expected an array, got 5"),
         ([1.0] * 15, "15 values for 16 bins"),
-        ([1.0] * 15 + ["a"], "could not convert string to float: 'a'"),
-        ([None] + [1.0] * 15,
-         "float() argument must be a string or a real number, not 'NoneType'"),
-    ], ids=["not-a-list", "length", "string", "null"])
+        ([1.0] * 15 + ["a"], "expected a number, got 'a'"),
+        ([None] + [1.0] * 15, "expected a number, got None"),
+        (["1"] * 16, "expected a number, got '1'"),
+        ([1] * 8 + [True] * 8, "expected a number, got True"),
+    ], ids=["not-a-list", "length", "string", "null", "numeric-string", "boolean"])
     def test_per_bin_list_errors_exit_2(self, capsys, tmp_path, field, doc, values, message):
         path = write_scenario(tmp_path, **doc(values))
         code, out, err = run_cli(capsys, "pattern", path)
@@ -525,6 +559,17 @@ class TestAnalyze:
         assert rows["a"][6] == "degenerate"
         assert rows["a"][5] == "" and rows["a"][7] == ""
         assert rows["b"][6] != "degenerate"
+
+    @pytest.mark.parametrize("context", ["S1", "S2"])
+    def test_branch_with_zero_detections_exit_3(self, capsys, tmp_path, context):
+        files = []
+        for name, counts in (("S", (5, 5)), ("S1", (4, 1)), ("S2", (3, 2))):
+            path = tmp_path / f"{name}.csv"
+            rows = zip("ab", (0, 0) if name == context else counts)
+            path.write_text("bin,count\n" + "".join(f"{b},{n}\n" for b, n in rows))
+            files.append(str(path))
+        code, out, err = run_cli(capsys, "analyze", *files)
+        assert (code, out, err) == (3, "", f"error: context '{context}' has zero detected systems\n")
 
     def test_mismatched_bins_exit_2(self, capsys, tmp_path):
         (tmp_path / "s.csv").write_text("bin,count\na,50\nb,50\n")
