@@ -11,8 +11,8 @@ Amplitudes carry no physics of their own here; they are bookkeeping for
 ensembles. Only phase differences are observable, so synthesized waves fix
 the gauge ``theta2 = 0`` by default and record the chosen per-branch phases.
 
-Complex amplitudes are plain Python ``complex`` values. All functions are
-pure and all records immutable.
+Scalar helpers return ``complex`` values, a wave read-only complex128 and
+float64 arrays. All functions are pure and all records immutable.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DISTRIBUTION_SUM_TOL, OutcomeSpace, SplittingCoefficients
 from .errors import NormalizationError
-from .interference import forward_hyp
+from .interference import forward_hyp, read_only, same_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,9 +111,9 @@ def synthesize_wave(
     return a * cmath.exp(1j * theta1) + b * cmath.exp(1j * theta2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityWave:
-    """Complex amplitude field over an outcome space.
+    """Complex amplitudes over an outcome space, as read-only arrays aligned with ``space.bins``.
 
     Contract: every ``|amp|^2`` lies in [0, 1] and the squared moduli sum to
     1 within 1e-9. ``theta1``/``theta2`` record the per-bin phase gauge used
@@ -121,38 +123,40 @@ class ProbabilityWave:
     """
 
     space: OutcomeSpace
-    amplitudes: dict[str, complex]
-    theta1: tuple[float, ...]
-    theta2: tuple[float, ...]
+    amplitudes: np.ndarray
+    theta1: np.ndarray
+    theta2: np.ndarray
     scaling: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", dict(self.amplitudes))
+        for name, dtype in (("amplitudes", complex), ("theta1", float), ("theta2", float)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
 
-    def born_probabilities(self) -> dict[str, float]:
+    __eq__ = same_fields
+
+    def born_probabilities(self) -> np.ndarray:
         """Squared modulus of every amplitude."""
-        return {label: abs(self.amplitudes[label]) ** 2 for label in self.space.bins}
+        return np.abs(self.amplitudes) ** 2
 
     def normalization_defect(self) -> float:
         """Absolute deviation of the total squared modulus from 1."""
-        return abs(sum(self.born_probabilities().values()) - 1.0)
+        return abs(float(self.born_probabilities().sum()) - 1.0)
 
-    def xi1(self) -> tuple[float, ...]:
+    def xi1(self) -> np.ndarray:
         """Reduced first-branch phases ``theta1 / scaling``."""
-        return tuple(t / self.scaling for t in self.theta1)
+        return self.theta1 / self.scaling
 
-    def xi2(self) -> tuple[float, ...]:
+    def xi2(self) -> np.ndarray:
         """Reduced second-branch phases ``theta2 / scaling``."""
-        return tuple(t / self.scaling for t in self.theta2)
+        return self.theta2 / self.scaling
 
     def with_global_phase(self, alpha: float) -> ProbabilityWave:
         """Multiply every amplitude by ``e^{i*alpha}``; observables unchanged."""
-        rot = cmath.exp(1j * alpha)
         return ProbabilityWave(
             self.space,
-            {label: amp * rot for label, amp in self.amplitudes.items()},
-            tuple(t + alpha for t in self.theta1),
-            tuple(t + alpha for t in self.theta2),
+            self.amplitudes * cmath.exp(1j * alpha),
+            self.theta1 + alpha,
+            self.theta2 + alpha,
             self.scaling,
         )
 
@@ -181,25 +185,20 @@ def synthesize_two_slit_wave(
             1e-9, i.e. the supplied envelopes and phases do not form a
             normalizable pattern on this grid.
     """
-    if h <= 0.0:
-        raise ValueError(f"scaling factor must be positive, got {h!r}")
-    p1 = [float(v) for v in p1]
-    p2 = [float(v) for v in p2]
-    theta = [float(v) for v in theta]
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"scaling factor must be positive and finite, got {h!r}")
+    p1, p2, theta = (np.asarray(v, float) for v in (p1, p2, theta))
     n = len(space.bins)
-    if not (len(p1) == len(p2) == len(theta) == n):
+    if not p1.shape == p2.shape == theta.shape == (n,):
         raise ValueError(
-            f"per-bin inputs must match the {n} bins: got {len(p1)}, {len(p2)}, {len(theta)}"
+            f"per-bin inputs must match the {n} bins: got {p1.shape}, {p2.shape}, {theta.shape}"
         )
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    amps: dict[str, complex] = {}
-    for label, q1, q2, th in zip(space.bins, p1, p2, theta):
-        amps[label] = inv_sqrt2 * (
-            math.sqrt(q1) * cmath.exp(1j * th) + math.sqrt(q2)
-        )
-    wave = ProbabilityWave(space, amps, tuple(theta), (0.0,) * n, h)
+    if not (np.isfinite(theta).all() and all(((0.0 <= p) & (p < math.inf)).all() for p in (p1, p2))):
+        raise ValueError("per-bin probabilities must be finite and nonnegative, and phases finite")
+    amplitudes = (np.sqrt(p1) * np.exp(1j * theta) + np.sqrt(p2)) / math.sqrt(2.0)
+    wave = ProbabilityWave(space, amplitudes, theta, np.zeros(n), h)
     defect = wave.normalization_defect()
-    if defect > DISTRIBUTION_SUM_TOL:
+    if not defect <= DISTRIBUTION_SUM_TOL:  # a NaN defect fails too
         raise NormalizationError(
             f"total squared modulus deviates from 1 by {defect!r} "
             f"(tolerance {DISTRIBUTION_SUM_TOL})"

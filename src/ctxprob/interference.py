@@ -99,6 +99,13 @@ DEGENERATE, TRIGONOMETRIC, HYPERBOLIC, BOUNDARY = range(4)
 KIND_LABELS = ("degenerate", "trigonometric", "hyperbolic", "boundary")
 
 
+def read_only(values, dtype=float) -> np.ndarray:
+    """A new read-only ``dtype`` array of ``values``, each converted by ``dtype``."""
+    array = np.array(values if isinstance(values, np.ndarray) else list(map(dtype, values)), dtype)
+    array.setflags(write=False)
+    return array
+
+
 def same_fields(a, b) -> bool:
     """Field-by-field equality of two dataclasses of one type; arrays by value, NaN equal to NaN."""
     if type(b) is not type(a):

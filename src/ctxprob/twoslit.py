@@ -46,7 +46,7 @@ from .core import (
     splitting_from_totals,
 )
 from .errors import ScenarioError, ZeroEnsemble
-from .interference import DEFAULT_CLASSIFY_TOL, DecompositionTable, decompose_arrays, same_fields
+from .interference import DEFAULT_CLASSIFY_TOL, DecompositionTable, decompose_arrays, read_only, same_fields
 
 CONTEXT_IDS = ("S", "S1", "S2")
 
@@ -83,13 +83,6 @@ class GridSpec:
         return OutcomeSpace(self.labels())
 
 
-def _read_only(values) -> np.ndarray:
-    """A new read-only float64 array of ``values``, each converted by ``float``."""
-    array = np.array(values if isinstance(values, np.ndarray) else list(map(float, values)), float)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class ExplicitPhase:
     """Phase given directly as a per-bin table, held as a read-only array."""
@@ -97,7 +90,7 @@ class ExplicitPhase:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _read_only(self.values))
+        object.__setattr__(self, "values", read_only(self.values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +129,8 @@ class TwoSlitScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "envelope1", _read_only(self.envelope1))
-        object.__setattr__(self, "envelope2", _read_only(self.envelope2))
+        object.__setattr__(self, "envelope1", read_only(self.envelope1))
+        object.__setattr__(self, "envelope2", read_only(self.envelope2))
 
     @property
     def coeffs(self) -> SplittingCoefficients:
@@ -153,20 +146,20 @@ class TwoSlitScenario:
 
 def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> np.ndarray:
     """Gaussian density evaluated at bin midpoints, normalized over the grid."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not (0.0 < sigma < math.inf and math.isfinite(mean)):
+        raise ValueError(f"sigma must be positive and finite and mean finite, got sigma {sigma!r}, mean {mean!r}")
     x = grid.midpoints()
     with np.errstate(over="ignore"):  # a tiny sigma overflows to exp(-inf) = 0, caught below
         v = np.exp(-0.5 * ((x - mean) / sigma) ** 2)
     total = float(v.sum())
     if total <= 0.0:
         raise ValueError("gaussian envelope underflows to zero on this grid")
-    return _read_only(v / total)
+    return read_only(v / total)
 
 
 def uniform_envelope(grid: GridSpec) -> np.ndarray:
     """Flat density over the grid."""
-    return _read_only(np.full(grid.bins, 1.0 / grid.bins))
+    return read_only(np.full(grid.bins, 1.0 / grid.bins))
 
 
 def table_envelope(values) -> np.ndarray:
@@ -179,7 +172,7 @@ def table_envelope(values) -> np.ndarray:
         raise ValueError("table envelope sums to zero")
     if total == math.inf:  # NaN weights are left to validate_scenario's finiteness check
         raise ValueError("table envelope weights sum to infinity")
-    return _read_only(np.array(v) / total)
+    return read_only(np.array(v) / total)
 
 
 def validate_grid(grid: GridSpec) -> list[Violation]:

@@ -6,21 +6,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctxprob import (
+    FreeWavePhase,
     GridSpec,
     NormalizationError,
     OutOfRange,
     SplitComplex,
     SplittingCoefficients,
+    TwoSlitScenario,
     cos_identity,
     forward_hyp,
     forward_trig,
     gaussian_envelope,
+    pattern_normalization,
     split_modulus,
     synthesize_hyperbolic,
     synthesize_two_slit_wave,
     synthesize_wave,
     uniform_envelope,
 )
+from ctxprob.twoslit import _distributions
 
 # Frozen from 50-digit arithmetic on the exact double inputs.
 COS_IDENTITY_AT_06_03_11 = 0.6132946037132078
@@ -178,11 +182,10 @@ class TestTwoSlitWave:
     def test_quarter_phase_gives_envelope_back(self):
         grid = GridSpec(32, -1.0, 1.0)
         env = uniform_envelope(grid)
-        space = grid.outcome_space()
-        wave = synthesize_two_slit_wave(space, env, env, [math.pi / 2] * 32)
+        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, [math.pi / 2] * 32)
         born = wave.born_probabilities()
-        for label, p in zip(space.bins, env):
-            assert born[label] == pytest.approx(p, abs=1e-15)
+        for i, p in enumerate(env):
+            assert born[i] == pytest.approx(p, abs=1e-15)
 
     def test_fringe_minima_sit_at_odd_multiples_of_pi(self):
         grid = GridSpec(512, -7.0, 7.0)
@@ -190,12 +193,10 @@ class TestTwoSlitWave:
         x = grid.midpoints()
         k = 9.7
         theta = k * x
-        space = grid.outcome_space()
-        wave = synthesize_two_slit_wave(space, env, env, theta)
-        born = np.array([wave.born_probabilities()[b] for b in space.bins])
-        envelope = np.asarray(env)
+        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
+        born = wave.born_probabilities()
         # Normalized fringe factor, 0 at phase pi (mod 2 pi), 2 at phase 0.
-        fringe = born / envelope
+        fringe = born / env
         for m in (-3, -1, 1, 3):
             node_x = m * math.pi / k
             i = int(np.argmin(np.abs(x - node_x)))
@@ -208,18 +209,15 @@ class TestTwoSlitWave:
         x = grid.midpoints()
         mom1, mom2, h = 6.2, -3.5, 1.0
         theta = (mom1 - mom2) * x / h
-        space = grid.outcome_space()
-        wave = synthesize_two_slit_wave(space, env, env, theta, h=h)
+        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta, h=h)
         # Same superposition built from per-branch plane-wave phases.
         inv = 1.0 / math.sqrt(2.0)
-        for i, label in enumerate(space.bins):
+        for i in range(grid.bins):
             plane = inv * (
                 math.sqrt(env[i]) * cmath.exp(1j * mom1 * x[i] / h)
                 + math.sqrt(env[i]) * cmath.exp(1j * mom2 * x[i] / h)
             )
-            assert abs(plane) ** 2 == pytest.approx(
-                abs(wave.amplitudes[label]) ** 2, abs=1e-12
-            )
+            assert abs(plane) ** 2 == pytest.approx(abs(wave.amplitudes[i]) ** 2, abs=1e-12)
 
     def test_normalization_error_when_interference_does_not_cancel(self):
         grid = GridSpec(64, -4.0, 4.0)
@@ -228,28 +226,59 @@ class TestTwoSlitWave:
         with pytest.raises(NormalizationError):
             synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
 
+    def test_born_modulus_is_the_simulated_pattern(self):
+        # The classical ensemble's pooled pattern is the Born modulus of the
+        # synthesized wave, once the envelopes carry the grid's truncation.
+        grid = GridSpec(256, -4.0, 4.0)
+        env = gaussian_envelope(grid, 0.0, 1.0)
+        scenario = TwoSlitScenario(grid, env, env, FreeWavePhase(2.5, -2.5, 1.0), n_emitted=10**6)
+        space, theta = grid.outcome_space(), scenario.phase_table()
+        with pytest.raises(NormalizationError):  # the raw pattern sums to 1 + 2.2e-5
+            synthesize_two_slit_wave(space, env, env, theta)
+        n = pattern_normalization(scenario)
+        wave = synthesize_two_slit_wave(space, env / n, env / n, theta)
+        pattern = _distributions(scenario)[0][0]
+        assert np.abs(wave.born_probabilities() - pattern).max() <= 1e-12
+
     def test_global_phase_invariance(self):
         grid = GridSpec(16, -1.0, 1.0)
         env = uniform_envelope(grid)
-        space = grid.outcome_space()
-        wave = synthesize_two_slit_wave(space, env, env, [math.pi / 2] * 16)
+        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, [math.pi / 2] * 16)
         for alpha in (0.1, 1.7, -2.9):
-            rotated = wave.with_global_phase(alpha)
+            moved = wave.with_global_phase(alpha).born_probabilities()
             base = wave.born_probabilities()
-            moved = rotated.born_probabilities()
-            for label in space.bins:
-                assert moved[label] == pytest.approx(base[label], abs=1e-12)
+            for i in range(16):
+                assert moved[i] == pytest.approx(base[i], abs=1e-12)
 
     def test_phase_metadata_records_gauge_and_scaling(self):
         grid = GridSpec(8, 0.0, 1.0)
         env = uniform_envelope(grid)
         theta = [math.pi / 2] * 8
         wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta, h=2.0)
-        assert wave.theta2 == (0.0,) * 8
-        assert wave.theta1 == tuple(theta)
+        assert wave.theta2.tolist() == [0.0] * 8
+        assert wave.theta1.tolist() == theta
         assert wave.scaling == 2.0
-        assert wave.xi1() == tuple(t / 2.0 for t in theta)
-        assert wave.xi2() == (0.0,) * 8
+        assert wave.xi1().tolist() == [t / 2.0 for t in theta]
+        assert wave.xi2().tolist() == [0.0] * 8
+
+    def test_fields_are_read_only_arrays(self):
+        grid = GridSpec(8, 0.0, 1.0)
+        env = uniform_envelope(grid)
+        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, [math.pi / 2] * 8)
+        for w in (wave, wave.with_global_phase(0.3)):
+            assert w.amplitudes.dtype == np.complex128
+            assert w.theta1.dtype == w.theta2.dtype == np.float64
+            for values in (w.amplitudes, w.theta1, w.theta2):
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 1.0
+
+    def test_equal_inputs_give_equal_waves(self):
+        grid = GridSpec(8, 0.0, 1.0)
+        env = uniform_envelope(grid)
+        theta = np.full(8, math.pi / 2)
+        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
+        assert wave == synthesize_two_slit_wave(grid.outcome_space(), list(env), list(env), list(theta))
+        assert wave != wave.with_global_phase(0.3)
 
     def test_length_mismatch_rejected(self):
         grid = GridSpec(8, 0.0, 1.0)
@@ -257,11 +286,23 @@ class TestTwoSlitWave:
         with pytest.raises(ValueError, match="per-bin"):
             synthesize_two_slit_wave(grid.outcome_space(), env, env, [0.0] * 7)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p1", math.nan), ("p2", math.inf), ("p1", -0.125), ("theta", math.nan), ("theta", -math.inf),
+        ("h", math.nan), ("h", math.inf), ("h", 0.0),
+    ])
+    def test_non_finite_and_negative_inputs_rejected(self, field, value):
+        # Unchecked, a NaN gives an all-NaN wave, and a NaN defect passes `defect > 1e-9`.
+        grid = GridSpec(8, 0.0, 1.0)
+        args = {"p1": [0.125] * 8, "p2": [0.125] * 8, "theta": [math.pi / 2] * 8, "h": 1.0}
+        args[field] = value if field == "h" else [value] + args[field][1:]
+        with pytest.raises(ValueError, match="finite"):
+            synthesize_two_slit_wave(grid.outcome_space(), **args)
+
     def test_wave_invariants(self):
         grid = GridSpec(256, -7.0, 7.0)
         env = gaussian_envelope(grid, 0.0, 1.0)
         theta = 9.7 * grid.midpoints()
         wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
         born = wave.born_probabilities()
-        assert all(0.0 <= p <= 1.0 for p in born.values())
+        assert ((0.0 <= born) & (born <= 1.0)).all()
         assert wave.normalization_defect() <= 1e-9

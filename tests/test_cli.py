@@ -311,7 +311,7 @@ class TestSimulate:
                      "slit2": {"kind": "uniform"}}
         with pytest.raises(ScenarioError) as exc:
             cli.parse_scenario({**SCENARIO, "envelopes": envelopes})
-        assert [p for p, _ in exc.value.problems] == ["envelope1.finite"]
+        assert [p for p, _ in exc.value.problems] == ["envelopes.slit1"]
 
     @pytest.mark.parametrize("n_emitted, runs", [(10**20, 1), (2**62, 2)])
     def test_emissions_beyond_int64_exit_2(self, capsys, tmp_path, n_emitted, runs):
@@ -337,6 +337,16 @@ class TestSimulate:
         code, out, err = run_cli(capsys, command, path)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "pattern"])
+    def test_overflowing_gaussian_sigma_exit_2(self, capsys, tmp_path, command):
+        # json reads the literal 1e400 as inf; unchecked, it gives the uniform envelope.
+        envelopes = {"slit1": {"kind": "gaussian", "mean": 0.0, "sigma": 0.5}, "slit2": {"kind": "uniform"}}
+        path = Path(write_scenario(tmp_path, envelopes=envelopes))
+        path.write_text(path.read_text().replace('"sigma": 0.5', '"sigma": 1e400'))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: envelopes.slit1: sigma must be positive and finite")
 
     @pytest.mark.parametrize("field, doc", [
         ("envelopes.slit1.values", lambda values: {"envelopes": {

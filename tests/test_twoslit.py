@@ -118,6 +118,14 @@ class TestScenarioValidation:
         assert len(set(labels)) == 64
         assert labels[0] == repr(float(grid.midpoints()[0]))
 
+    @pytest.mark.parametrize("mean, sigma", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf),
+    ])
+    def test_gaussian_envelope_rejects_non_finite_parameters(self, mean, sigma):
+        # Unchecked, a NaN gives an all-NaN envelope and sigma = inf the uniform one.
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_envelope(GridSpec(8, -1.0, 1.0), mean, sigma)
+
     def test_table_envelope_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="negative"):
             table_envelope([0.5, -0.1, 0.6])
