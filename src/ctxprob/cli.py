@@ -13,11 +13,12 @@ Tabular output uses 15 significant digits; JSON reports use shortest
 round-trip float rendering with sorted keys, so parse/re-serialize is
 byte-identical. Both formats render each distinct value of a float column
 once, and ``pattern`` reuses the texts of a column equal to an earlier one.
-``analyze`` reads back the labels with line breaks that it writes quoted. If
-the environment variable ``CTXPROB_OUT_DIR`` is set, relative ``--out`` paths
-are resolved under it. Without ``--out`` the output is streamed to stdout, so
-a render that fails partway leaves a partial document there; ``--out``
-replaces a plain file only once it is complete.
+``analyze`` reads plain ``label,count`` files (LF or CRLF line ends) as columns,
+any other with ``csv`` row by row, and reads back the labels with line breaks
+that it writes quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
+relative ``--out`` paths are resolved under it. Without ``--out`` the output is
+streamed to stdout, so a render that fails partway leaves a partial document
+there; ``--out`` replaces a plain file only once it is complete.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -43,7 +45,6 @@ from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts
 from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS
 from .twoslit import (
-    CONTEXT_IDS,
     ExperimentReport,
     ExplicitPhase,
     FreeWavePhase,
@@ -54,7 +55,7 @@ from .twoslit import (
     run_experiment,
     table_envelope,
     uniform_envelope,
-    _aligned,
+    _check_gaussian,
     _estimate,
     _require_valid,
     validate_grid,
@@ -86,10 +87,9 @@ def _texts(values: np.ndarray, fmt, nan: str) -> tuple[str, ...]:
     """
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     distinct = bits.view(np.float64)
-    texts = list(map(fmt, distinct.tolist()))
-    for i in np.flatnonzero(np.isnan(distinct)).tolist():
-        texts[i] = nan
-    return tuple(map(texts.__getitem__, index.tolist()))
+    texts = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+    texts[np.isnan(distinct)] = nan
+    return tuple(texts[index].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +153,11 @@ def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: list):
     if kind == "gaussian":
         mean = _get(doc, path, "mean", float, errors)
         sigma = _get(doc, path, "sigma", float, errors)
-        if sigma is not None and sigma <= 0.0:
-            errors.append((f"{path}.sigma", f"must be positive, got {sigma!r}"))
-            return None
-        if None in (mean, sigma) or grid is None:
+        if None in (mean, sigma):
             return None
         try:
-            return gaussian_envelope(grid, mean, sigma)
+            _check_gaussian(mean, sigma)  # checked before the grid is known, reported once
+            return gaussian_envelope(grid, mean, sigma) if grid is not None else None
         except ValueError as exc:
             errors.append((path, str(exc)))
             return None
@@ -512,43 +510,76 @@ def analyze_lines(report: ExperimentReport) -> list[str]:
     return lines
 
 
-def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
-    """Read a ``bin,count`` histogram file.
+def _plain_columns(text: str) -> tuple[list[str], np.ndarray] | None:
+    """The labels and int64 counts of a plain ``bin,count`` text, else None. ``csv`` splits
+    a plain text exactly at its line ends and commas, and accepts each row: no ``"``, NUL
+    or lone ``\\r``, one comma per row, no field beyond ``csv.field_size_limit()``, no
+    repeated label, 1 to 18 ASCII digits per count and a total that int64 holds."""
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    text = text.replace("\r\n", "\n").removesuffix("\n")  # csv ends a row at "\r\n" as at "\n"
+    byte = np.frombuffer(text.encode(), np.uint8)
+    ends = np.append(np.flatnonzero(byte == ord("\n")), len(byte))
+    commas = np.flatnonzero(byte == ord(","))
+    # Row i holds comma i and no other; a blank row holds none.
+    if len(commas) != len(ends) or (commas > ends).any() or (commas[1:] < ends[:-1]).any():
+        return None
+    cells = text.replace("\n", ",").split(",")
+    labels, values = cells[2::2], ",".join(cells[3::2])
+    if [cells[0].strip(), cells[1].strip()] != ["bin", "count"] or len(set(labels)) != len(labels):
+        return None
+    if not (values.isascii() and values.replace(",", "").isdigit()):  # int() also takes "+5", "5_0", "٣"
+        return None
+    widths = np.stack((commas - np.append(0, ends[:-1] + 1), ends - commas - 1))  # in UTF-8 bytes
+    if widths.max() > csv.field_size_limit() or widths[1, 1:].min() < 1 or widths[1, 1:].max() > 18:
+        return None
+    counts = np.fromstring(values, np.int64, sep=",")
+    return (labels, counts) if int(counts.max()) * len(counts) < 2**63 else None
+
+
+def _read_counts(path: str) -> tuple[list[str], np.ndarray]:
+    """A ``bin,count`` file's labels in file order and its counts as int64.
+
+    A plain file is read as columns, any other by ``csv`` row by row: the one
+    source of the messages about rows and of their line numbers.
 
     Raises:
         ScenarioError: on missing file, bad header, duplicate bins,
             malformed counts, or a total of 2**63 or more.
     """
-    problems: list[tuple[str, str]] = []
-    counts: dict[str, int] = {}
     try:
-        # csv reads the file itself, so a quoted label keeps its line breaks.
-        with open(path, encoding="utf-8", newline="") as stream:
-            reader = csv.reader(stream)
-            rows = filter(None, reader)  # blank lines are skipped, yet counted in line_num
-            header = next(rows, None)
-            if header is None or [cell.strip() for cell in header] != ["bin", "count"]:
-                stream.read()  # an undecodable file is reported as such, whatever its header
-                raise ScenarioError([(path, "first row must be the header 'bin,count'")])
-            for row in rows:
-                if len(row) != 2:
-                    problems.append((f"{path}:{reader.line_num}", f"expected 2 fields, got {len(row)}"))
-                    continue
-                label, value = row[0], row[1]
-                if label in counts:
-                    problems.append((f"{path}:{reader.line_num}", f"duplicate bin {label!r}"))
-                    continue
-                try:
-                    n = int(value)
-                except ValueError:
-                    problems.append((f"{path}:{reader.line_num}", f"count {value!r} is not an integer"))
-                    continue
-                if n < 0:
-                    problems.append((f"{path}:{reader.line_num}", f"count {n} is negative"))
-                    continue
-                counts[label] = n
+        text = Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([(path, f"cannot read counts file: {exc}")])
+    columns = _plain_columns(text)
+    if columns is not None:
+        return columns
+    problems: list[tuple[str, str]] = []
+    counts: dict[str, int] = {}
+    # Lines end at "\r", "\n" or "\r\n", as in a file opened with newline="": quoted breaks stay.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = filter(None, reader)  # blank lines are skipped, yet counted in line_num
+        header = next(rows, None)
+        if header is None or [cell.strip() for cell in header] != ["bin", "count"]:
+            raise ScenarioError([(path, "first row must be the header 'bin,count'")])
+        for row in rows:
+            if len(row) != 2:
+                problems.append((f"{path}:{reader.line_num}", f"expected 2 fields, got {len(row)}"))
+                continue
+            label, value = row[0], row[1]
+            if label in counts:
+                problems.append((f"{path}:{reader.line_num}", f"duplicate bin {label!r}"))
+                continue
+            try:
+                n = int(value)
+            except ValueError:
+                problems.append((f"{path}:{reader.line_num}", f"count {value!r} is not an integer"))
+                continue
+            if n < 0:
+                problems.append((f"{path}:{reader.line_num}", f"count {n} is negative"))
+                continue
+            counts[label] = n
     except csv.Error as exc:  # a field beyond csv.field_size_limit()
         raise ScenarioError([(f"{path}:{reader.line_num}", str(exc))])
     if problems:
@@ -559,7 +590,13 @@ def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
     if total >= 2**63:
         # The counts are summed and decomposed as int64 arrays.
         raise ScenarioError([(path, f"counts sum to {total}, which must be below 2**63")])
-    return EnsembleCounts(context_id, counts, total)
+    return list(counts), np.fromiter(counts.values(), np.int64, len(counts))
+
+
+def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
+    """Read a ``bin,count`` histogram file; raises as :func:`_read_counts` does."""
+    labels, counts = _read_counts(path)
+    return EnsembleCounts(context_id, dict(zip(labels, counts.tolist())), int(counts.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +656,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     paths = (args.counts_s, args.counts_s1, args.counts_s2)
-    ensembles = [read_counts_csv(path, which) for path, which in zip(paths, CONTEXT_IDS)]
-    bins = ensembles[0].counts.keys()
-    for path, other in zip(paths[1:], ensembles[1:]):
-        if other.counts.keys() != bins:
-            missing = sorted(other.counts.keys() ^ bins)
-            raise ScenarioError(
-                [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
-            )
-    labels, emitted = tuple(bins), tuple(e.total_emitted for e in ensembles)
-    report = _estimate(_aligned(ensembles, labels), emitted, args.tol, None, labels)
+    (labels, counts), *branches = map(_read_counts, paths)
+    rows = [counts]
+    for path, (other, values) in zip(paths[1:], branches):
+        if other != labels:  # a branch file may list the bins in another order
+            position = dict(zip(other, range(len(other))))
+            if missing := sorted(position.keys() ^ labels):
+                raise ScenarioError(
+                    [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
+                )
+            values = values[np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))]
+        rows.append(values)
+    counts = np.stack(rows)
+    report = _estimate(counts, tuple(counts.sum(axis=1).tolist()), args.tol, None, tuple(labels))
     _emit(_text_blocks(analyze_lines(report)), args.out)
     return EXIT_OK
 

@@ -144,10 +144,15 @@ class TwoSlitScenario:
         return (self.phase.momentum1 - self.phase.momentum2) * x / self.phase.scaling
 
 
-def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> np.ndarray:
-    """Gaussian density evaluated at bin midpoints, normalized over the grid."""
+def _check_gaussian(mean: float, sigma: float) -> None:
+    """Raise ``ValueError`` unless ``sigma`` is positive and finite and ``mean`` finite."""
     if not (0.0 < sigma < math.inf and math.isfinite(mean)):
         raise ValueError(f"sigma must be positive and finite and mean finite, got sigma {sigma!r}, mean {mean!r}")
+
+
+def gaussian_envelope(grid: GridSpec, mean: float, sigma: float) -> np.ndarray:
+    """Gaussian density evaluated at bin midpoints, normalized over the grid."""
+    _check_gaussian(mean, sigma)
     x = grid.midpoints()
     with np.errstate(over="ignore"):  # a tiny sigma overflows to exp(-inf) = 0, caught below
         v = np.exp(-0.5 * ((x - mean) / sigma) ** 2)
@@ -372,12 +377,6 @@ def _estimate(
     )
 
 
-def _aligned(ensembles, labels: tuple[str, ...]) -> np.ndarray:
-    """The counts of histograms holding the bins ``labels``, as int64 rows in that order."""
-    rows = [np.fromiter(map(c.counts.__getitem__, labels), np.int64, len(labels)) for c in ensembles]
-    return np.stack(rows)
-
-
 def decompose_empirical(
     space: OutcomeSpace,
     counts_s: EnsembleCounts,
@@ -409,7 +408,8 @@ def decompose_empirical(
             )
         if c.total_detected >= 2**63:  # the totals are int64
             raise ValueError(f"context {c.context_id!r} counts total 2**63 or more")
-    counts = _aligned(ensembles, space.bins)
+    n = len(space.bins)
+    counts = np.stack([np.fromiter(map(c.counts.__getitem__, space.bins), np.int64, n) for c in ensembles])
     x = np.array([positions.get(b, math.nan) for b in space.bins], float) if positions else None
     return _estimate(counts, tuple(c.total_emitted for c in ensembles), tol, x, space.bins)
 

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ctxprob import ScenarioError, cli
 from ctxprob.core import EnsembleCounts, OutcomeSpace
@@ -166,7 +166,7 @@ class TestPattern:
         }))
         code, out, err = run_cli(capsys, "pattern", str(path))
         assert code == 2
-        assert "envelopes.slit1.sigma" in err
+        assert "error: envelopes.slit1: sigma must be positive and finite and mean finite, got sigma -1.0, mean 0.0\n" in err
         assert "phase.kind" in err
         assert "grid.bins" in err
 
@@ -459,19 +459,21 @@ class TestAnalyze:
 
     def test_branch_files_in_another_bin_order(self, capsys, tmp_path):
         # Bins are aligned by label, not by row: reordered branch files give
-        # the same table, in the pooled file's order.
-        paths = [str(GOLDENS / "counts_s.csv")]
-        for name, shuffle in (
-            ("counts_s1.csv", lambda rows: rows[::-1]),
-            ("counts_s2.csv", lambda rows: rows[5:] + rows[:5]),
-        ):
-            header, *rows = (GOLDENS / name).read_text().splitlines()
-            path = tmp_path / name
-            path.write_text("\n".join([header, *shuffle(rows)]) + "\n")
-            paths.append(str(path))
-        code, out, _ = run_cli(capsys, "analyze", *paths)
-        assert code == 0
-        assert out == (GOLDENS / "analyze_freewave.csv").read_text()
+        # the same table, in the pooled file's order. A final blank line sends
+        # a file to the csv row loop instead of the plain path.
+        for end in ("\n", "\n\n"):
+            paths = [str(GOLDENS / "counts_s.csv")]
+            for name, shuffle in (
+                ("counts_s1.csv", lambda rows: rows[::-1]),
+                ("counts_s2.csv", lambda rows: rows[5:] + rows[:5]),
+            ):
+                header, *rows = (GOLDENS / name).read_text().splitlines()
+                path = tmp_path / name
+                path.write_text("\n".join([header, *shuffle(rows)]) + end)
+                paths.append(str(path))
+            code, out, _ = run_cli(capsys, "analyze", *paths)
+            assert code == 0
+            assert out == (GOLDENS / "analyze_freewave.csv").read_text()
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
@@ -585,12 +587,11 @@ class TestAnalyze:
         (tmp_path / "s.csv").write_text("bin,count\na,50\nb,50\n")
         (tmp_path / "s1.csv").write_text("bin,count\na,25\nc,25\n")
         (tmp_path / "s2.csv").write_text("bin,count\na,25\nb,25\n")
-        code, _, err = run_cli(
-            capsys, "analyze",
-            str(tmp_path / "s.csv"), str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv"),
+        path = str(tmp_path / "s1.csv")
+        code, _, err = run_cli(capsys, "analyze", str(tmp_path / "s.csv"), path, str(tmp_path / "s2.csv"))
+        assert (code, err) == (
+            2, f"error: {path}: bin labels do not match the pooled file (first differences: ['b', 'c'])\n"
         )
-        assert code == 2
-        assert "do not match" in err
 
     def test_malformed_csv_exit_2(self, capsys, tmp_path):
         (tmp_path / "s.csv").write_text("wrong,header\na,50\n")
@@ -631,7 +632,9 @@ class TestAnalyze:
         assert code == 2
         assert "not an integer" in err
 
-    @pytest.mark.parametrize("rows", [f"a,{10**20}\n", f"a,{2**63 - 1}\nb,5\n"])
+    @pytest.mark.parametrize("rows", [
+        f"a,{10**20}\n", f"a,{2**63 - 1}\nb,5\n", "".join(f"b{i},{'9' * 18}\n" for i in range(10)),
+    ])
     def test_counts_beyond_int64_exit_2(self, capsys, tmp_path, rows):
         (tmp_path / "s.csv").write_text("bin,count\n" + rows)
         (tmp_path / "ok.csv").write_text("bin,count\na,25\nb,25\n")
@@ -667,6 +670,35 @@ class TestAnalyze:
             rows = [row for row in csv.reader(stream) if not row[0].startswith("#")]
         assert [len(row) for row in rows] == [9] * 5
         assert [row[0] for row in rows[1:]] == labels
+
+    def test_crlf_files_are_read_as_columns(self, capsys, tmp_path):
+        # csv.writer ends lines with "\r\n"; such files take the plain path.
+        paths = []
+        for name in ("counts_s.csv", "counts_s1.csv", "counts_s2.csv"):
+            path = tmp_path / name
+            path.write_bytes((GOLDENS / name).read_bytes().replace(b"\n", b"\r\n"))
+            paths.append(str(path))
+        with mock.patch.object(csv, "reader", side_effect=AssertionError("not a plain file")):
+            code, out, err = run_cli(capsys, "analyze", *paths)
+        assert (code, err) == (0, "")
+        assert out == (GOLDENS / "analyze_freewave.csv").read_text()
+
+    def test_lone_carriage_returns_end_rows(self, capsys, tmp_path):
+        (tmp_path / "s.csv").write_bytes(b"bin,count\ra,1\r\nb,x\rc,2\n")
+        (tmp_path / "ok.csv").write_text("bin,count\na,25\n")
+        path = str(tmp_path / "s.csv")
+        code, out, err = run_cli(capsys, "analyze", path, str(tmp_path / "ok.csv"), str(tmp_path / "ok.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:3: count 'x' is not an integer\n"
+
+    def test_every_row_must_hold_one_comma(self, capsys, tmp_path):
+        # Two rows with two commas in all: joining the rows and splitting once would read a: 1, b: 2.
+        (tmp_path / "s.csv").write_text("bin,count\na,1,b\n2\n")
+        (tmp_path / "ok.csv").write_text("bin,count\na,25\n")
+        path = str(tmp_path / "s.csv")
+        code, out, err = run_cli(capsys, "analyze", path, str(tmp_path / "ok.csv"), str(tmp_path / "ok.csv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:2: expected 2 fields, got 3\nerror: {path}:3: expected 2 fields, got 1\n"
 
     def test_line_numbers_count_blank_lines(self, capsys, tmp_path):
         (tmp_path / "s.csv").write_text("bin,count\n\n\na,x\n")
@@ -917,6 +949,53 @@ class TestCsvCells:
         )
         expected = ["%s,%.15g,%.15g,%.15g,%.15g,%s,%s,%s,%s" % row for row in rows]
         assert cli.analyze_lines(report)[1:-4] == expected
+
+
+# Count files: plain rows, with odd rows put in among them. The odd rows hold
+# what csv reads in its own way (quotes, line breaks, NUL) or int() reads or
+# rejects, as well as blank lines, duplicates and the wrong number of fields.
+PLAIN_LABELS = st.text(st.sampled_from(["a", "b", "c", "é", "日", " ", "\x0c"]), max_size=4)
+ODD_LABELS = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", "\0", " "]), min_size=1, max_size=3)
+ODD_COUNTS = st.sampled_from(["+5", " 5", "5_0", "٣", "-1", "007", "", "9" * 18, "9" * 19, "1" * 20, "1.5"])
+ODD_ROWS = st.one_of(
+    st.sampled_from(["", "a,1", "a,1,2", "2"]),
+    st.builds("%s,7".__mod__, ODD_LABELS),
+    st.builds(lambda label: '"%s",7' % label.replace('"', '""'), ODD_LABELS),  # as csv.writer quotes it
+    st.builds("x,%s".__mod__, ODD_COUNTS),
+)
+
+
+@st.composite
+def count_files(draw) -> str:
+    rows = draw(st.lists(st.tuples(PLAIN_LABELS, st.integers(0, 10**18 - 1)), max_size=8, unique_by=lambda row: row[0]))
+    header = draw(st.sampled_from(["bin,count"] * 3 + [" bin , count", "\ufeffbin,count", "bin,count,x", ""]))
+    lines = [header] + [f"{label},{count}" for label, count in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(ODD_ROWS))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, "", end + end]))
+
+
+class TestCountFiles:
+    """Count files read as columns give what the csv row loop gives, or its problems."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(count_files())
+    def test_reader_matches_the_row_loop(self, tmp_path, text):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(text.encode())
+
+        def read():
+            try:
+                counts = cli.read_counts_csv(str(path), "S")
+            except ScenarioError as exc:
+                return exc.problems
+            assert counts.total_emitted == counts.total_detected
+            return list(counts.counts.items()), counts.total_emitted
+
+        with mock.patch.object(cli, "_plain_columns", return_value=None):  # the row loop alone
+            expected = read()
+        assert read() == expected
 
 
 def src_env():
