@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 input/parse error, 3 runtime or statistical error.
 Tabular output uses 15 significant digits; JSON reports use shortest
 round-trip float rendering with sorted keys, so parse/re-serialize is
 byte-identical. Both formats render each distinct value of a float column
-once, and ``pattern`` reuses the texts of a column equal to an earlier one.
+once and reuse the texts of an equal column; a report renders its counts from
+their int64 rows, and each label, kind and sign text is made once.
 ``analyze`` reads plain ``label,count`` files (LF or CRLF line ends) as columns,
 any other with ``csv`` row by row, and reads back the labels with line breaks
 that it writes quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
@@ -33,7 +34,8 @@ import os
 import re
 import stat
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -45,6 +47,7 @@ from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts
 from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS
 from .twoslit import (
+    CONTEXT_IDS,
     ExperimentReport,
     ExplicitPhase,
     FreeWavePhase,
@@ -78,18 +81,27 @@ fmt15 = "%.15g".__mod__
 
 
 def _texts(values: np.ndarray, fmt, nan: str) -> tuple[str, ...]:
-    """``fmt`` of each value of a 1-D float64 array, with ``nan`` for NaN.
+    """``fmt`` of each value of a 1-D float64 (or int64) array, with ``nan`` for NaN.
 
-    Each distinct bit pattern is formatted once (a column of counts / N, or a
-    symmetric envelope, repeats its values). A tuple of str is one object the
+    Each distinct bit pattern is formatted once (a column of counts or counts /
+    N, or a symmetric envelope, repeats its values). A tuple of str is one object the
     garbage collector stops tracking, so it is not traversed again while a
     caller builds rows from it.
     """
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
+    distinct = bits.view(values.dtype)
     texts = np.array(list(map(fmt, distinct.tolist())), dtype=object)
     texts[np.isnan(distinct)] = nan
     return tuple(texts[index].tolist())
+
+
+def _reused_texts(columns: Sequence[np.ndarray], texts_of) -> list[Sequence[str]]:
+    """``texts_of`` each float64 column, or the texts of an earlier one equal to it bit for bit."""
+    bits, texts = [c.view(np.int64) for c in columns], []
+    for column, b in zip(columns, bits):
+        same = [t for a, t in zip(bits, texts) if np.array_equal(a, b)]
+        texts.append(same[0] if same else texts_of(column))
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +280,15 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
             "h": scenario.phase.scaling,
         }
     phase["theta"] = scenario.phase_table()
+    envelopes = _reused_texts((scenario.envelope1, scenario.envelope2), lambda e: JsonColumn(_column(e)))
     return {
         "grid": {
             "bins": scenario.grid.bins,
             "x_min": scenario.grid.x_min,
             "x_max": scenario.grid.x_max,
         },
-        "envelope1": scenario.envelope1,
-        "envelope2": scenario.envelope2,
+        "envelope1": envelopes[0],
+        "envelope2": envelopes[1],
         "phase": phase,
         "sampling": {
             "n_emitted": scenario.n_emitted,
@@ -293,11 +306,37 @@ class RecordColumns(dict):
 
 
 class JsonColumn(tuple):
-    """A :class:`RecordColumns` column of values already rendered as JSON text; so is each slice."""
+    """Values already rendered as JSON text; it renders as the list of them, or as one
+    field per record in a :class:`RecordColumns` node. So is each slice."""
 
     def __getitem__(self, index):
         item = super().__getitem__(index)
         return JsonColumn(item) if type(index) is slice else item
+
+
+class JsonCounts(Mapping):
+    """A context's counts ``{label: count}``, held as its own int64 row in JSON key order
+    with the ``labels`` in that order and ``texts``, their JSON texts, which it renders
+    from. A count set changes the rendered document, not the report."""
+
+    def __init__(self, labels: list[str], texts: list[str], row: np.ndarray):
+        self.labels, self.texts, self.row = labels, texts, row
+
+    @cached_property
+    def _bins(self) -> dict[str, int]:
+        return dict(zip(self.labels, range(len(self.labels))))
+
+    def __getitem__(self, label: str) -> int:
+        return int(self.row[self._bins[label]])
+
+    def __setitem__(self, label: str, count: int) -> None:
+        self.row[self._bins[label]] = count
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
 def report_document(report: ExperimentReport) -> dict:
@@ -305,15 +344,20 @@ def report_document(report: ExperimentReport) -> dict:
     labels, x = report.labels, report.x
     if report.bin_labels is None:  # each label is the text of its bin's finite x
         x = JsonColumn(labels)
+    keys = np.array(list(map(encode_basestring_ascii, labels)), object)
+    order = np.array(sorted(range(len(labels)), key=labels.__getitem__), np.intp)
+    in_order = np.array(labels, object)[order].tolist(), keys[order].tolist()  # JSON key order
+    kinds = np.array(list(map(encode_basestring_ascii, KIND_LABELS)), object)
+    signs = np.array(["null", "1", "-1"], object)  # sign -1 reads the last text
     return {
         "counts": {
-            c.context_id: {
-                "context": c.context_id,
-                "total_emitted": c.total_emitted,
-                "total_detected": c.total_detected,
-                "counts": c.counts,
+            context: {
+                "context": context,
+                "total_emitted": emitted,
+                "total_detected": int(row.sum()),
+                "counts": JsonCounts(*in_order, row[order]),
             }
-            for c in (report.counts_s, report.counts_s1, report.counts_s2)
+            for context, emitted, row in zip(CONTEXT_IDS, report.emitted, report.counts)
         },
         "splitting": {
             "c1": report.coeffs.c1,
@@ -325,7 +369,7 @@ def report_document(report: ExperimentReport) -> dict:
         "violation_statistic": report.violation_statistic,
         "classification_tol": report.classification_tol,
         "bins": RecordColumns({
-            "bin": labels,
+            "bin": JsonColumn(keys.tolist()),
             "x": (None,) * len(labels) if x is None else x,
             "p_s": t.p_s,
             "p_1": t.p1,
@@ -333,8 +377,8 @@ def report_document(report: ExperimentReport) -> dict:
             "classical": t.classical,
             "delta": t.delta,
             "lambda": t.lam,
-            "kind": [KIND_LABELS[k] for k in t.kind.tolist()],
-            "sign": [s or None for s in t.sign.tolist()],
+            "kind": JsonColumn(kinds[t.kind].tolist()),
+            "sign": JsonColumn(signs[t.sign].tolist()),
             "theta": t.theta,
             "stderr_lambda": t.stderr_lambda,
             "stderr_theta": t.stderr_theta,
@@ -355,12 +399,15 @@ _SCALARS = {
 
 def _column(values) -> Sequence[str] | None:
     """The JSON text of each value of a run: a :class:`JsonColumn` is text already, a 1-D
-    float64 array's NaN is ``null`` and its +-inf raises json's ``ValueError``, and any
-    other run has text (else None) if all its values are plain finite scalars."""
+    float64 array's NaN is ``null`` and its +-inf raises json's ``ValueError``, any other
+    array raises json's ``TypeError``, and any other run has text (else None) if all its
+    values are plain finite scalars."""
     kind = type(values)
     if kind is JsonColumn:
         return values
     if kind is np.ndarray:
+        if values.dtype != float or values.ndim != 1:
+            json.dumps(values)  # json's own error: an array is not JSON serializable
         infinite = values[np.isinf(values)]
         if len(infinite):  # json's own error, which names the value when indenting
             json.dumps(infinite[0].item(), indent=2, allow_nan=False)
@@ -399,7 +446,8 @@ def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
             pieces[2 * i::step] = [heads[i]] * count
             pieces[2 * i + 1::step] = _column(block) or ["".join(_render(v, field)) for v in block]
         pieces[-1] = close
-        yield ("," if start else "[") + "\n" + inner + "".join(pieces)
+        yield ("," if start else "[") + "\n" + inner  # a chunk of its own: the block is not copied
+        yield "".join(pieces)
     yield "\n" + pad + "]" if rows else "[]"
 
 
@@ -408,9 +456,11 @@ def _render(value, pad: str) -> Iterator[str]:
     kind = type(value)
     if kind is dict and all(type(k) is str for k in value):
         keys = sorted(value)
-        heads = [encode_basestring_ascii(k) + ": " for k in keys]
+        heads = list(map(encode_basestring_ascii, keys))
         items, brackets = [value[k] for k in keys], "{}"
-    elif kind in (list, tuple) or kind is np.ndarray and value.dtype == float and value.ndim == 1:
+    elif kind is JsonCounts:
+        heads, items, brackets = value.texts, JsonColumn(_texts(value.row, int.__repr__, "")), "{}"
+    elif kind in (list, tuple, JsonColumn) or kind is np.ndarray and value.dtype == float and value.ndim == 1:
         heads, items, brackets = None, value, "[]"
     elif kind is RecordColumns:
         yield from _record_rows(value, pad)
@@ -433,12 +483,16 @@ def _render(value, pad: str) -> Iterator[str]:
     comma = ",\n" + inner
     column = _column(items)
     yield brackets[0] + "\n" + inner
-    if column is not None:
-        yield comma.join(column if heads is None else map(str.__add__, heads, column))
-    else:
+    if column is None:
         for i, item in enumerate(items):
-            yield (comma if i else "") + (heads[i] if heads else "")
+            yield (comma if i else "") + (heads[i] + ": " if heads else "")
             yield from _render(item, inner)
+    elif heads is None:
+        yield comma.join(column)
+    else:  # a chunk of pieces, not a string per key and value
+        pieces = [comma, None, ": ", None] * len(column)
+        pieces[0], pieces[1::4], pieces[3::4] = "", heads, column
+        yield "".join(pieces)
     yield "\n" + pad + brackets[1]
 
 
@@ -448,12 +502,13 @@ def render_json(doc: dict) -> str:
     The text equals ``json.dumps(doc, sort_keys=True, indent=2,
     allow_nan=False) + "\\n"``, and a non-finite float raises the same
     ``ValueError``. A 1-D float64 array, anywhere in ``doc``, renders as the
-    list of its values with NaN as ``null``; a :class:`RecordColumns` node
-    renders as its records. With ``indent`` set, ``json.dumps`` encodes value
-    by value in Python; here each run of values (a list, a dict's values, an
-    array, a node's column) is rendered as one column.
+    list of its values with NaN as ``null`` (a :class:`JsonColumn`, of its
+    texts); a :class:`RecordColumns` node renders as its records and a
+    :class:`JsonCounts` node as its dict. With ``indent`` set, ``json.dumps``
+    encodes value by value in Python; here each run of values (a list, a
+    dict's values, an array, a node's column) is rendered as one column.
     """
-    return "".join(_render(doc, "")) + "\n"
+    return "".join(chain(_render(doc, ""), ["\n"]))
 
 
 def simulation_document(scenario: TwoSlitScenario, report: ExperimentReport) -> dict:
@@ -481,11 +536,7 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
         scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
         interference_pattern(p1, p2, theta),
     )
-    bits, texts = [c.view(np.int64) for c in columns], []
-    for column, b in zip(columns, bits):  # an earlier column equal bit for bit: reuse its texts
-        same = [t for a, t in zip(bits, texts) if np.array_equal(a, b)]
-        texts.append(same[0] if same else _texts(column, fmt15, "nan"))
-    return list(map(list, zip(*texts)))
+    return list(map(list, zip(*_reused_texts(columns, lambda column: _texts(column, fmt15, "nan")))))
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:

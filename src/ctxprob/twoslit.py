@@ -54,7 +54,7 @@ CONTEXT_IDS = ("S", "S1", "S2")
 #: reach the screen when only one opening is active.
 BRANCH_ACCEPTANCE = 0.5
 
-#: Largest grid accepted: ``pattern`` and ``simulate`` peak near 1 KB of memory per bin.
+#: Largest grid accepted: at 2**20 bins ``simulate`` peaks near 700 bytes of memory per bin.
 MAX_BINS = 2**21
 #: Most runs accepted: sampling time grows with the (context, run) pairs drawn.
 MAX_RUNS = 2**16
@@ -196,6 +196,8 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
         out.append(
             Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}")
         )
+    elif 1 <= grid.bins <= MAX_BINS and not (np.diff(grid.midpoints()) > 0.0).all():  # equal labels
+        out.append(Violation("grid.range", f"{grid.bins} bins have equal midpoints on this range"))
     return out
 
 

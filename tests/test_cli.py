@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ctxprob import ScenarioError, cli
 from ctxprob.core import EnsembleCounts, OutcomeSpace
 from ctxprob.interference import KIND_LABELS
-from ctxprob.twoslit import MAX_RUNS, decompose_empirical, interference_pattern
+from ctxprob.twoslit import MAX_RUNS, decompose_empirical, interference_pattern, run_experiment
 
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(__file__).parent.parent / "src"
@@ -312,6 +313,13 @@ class TestSimulate:
         with pytest.raises(ScenarioError) as exc:
             cli.parse_scenario({**SCENARIO, "envelopes": envelopes})
         assert [p for p, _ in exc.value.problems] == ["envelopes.slit1"]
+
+    @pytest.mark.parametrize("command", ["simulate", "pattern"])
+    def test_grid_too_narrow_for_distinct_labels_exit_2(self, capsys, tmp_path, command):
+        # Equal midpoints would give two bins one label, and one counts key.
+        path = write_scenario(tmp_path, grid={"bins": 8, "x_min": 1.0, "x_max": 1.0000000000000004})
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out, err) == (2, "", "error: grid.range: 8 bins have equal midpoints on this range\n")
 
     @pytest.mark.parametrize("n_emitted, runs", [(10**20, 1), (2**62, 2)])
     def test_emissions_beyond_int64_exit_2(self, capsys, tmp_path, n_emitted, runs):
@@ -757,9 +765,13 @@ def record_lists(draw, children):
 
 #: 1-D float64 arrays, which render as lists with NaN as null.
 ARRAYS = st.lists(FLOATS | st.just(math.nan), max_size=4).map(lambda v: np.array(v, float))
+#: Values already rendered as JSON text, which render as the list of them.
+JSON_COLUMNS = st.lists(SCALARS, max_size=4).map(
+    lambda v: cli.JsonColumn(map(json.dumps, v))
+)
 
 DOCUMENTS = st.recursive(
-    SCALARS | ARRAYS,
+    SCALARS | ARRAYS | JSON_COLUMNS,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
@@ -771,15 +783,15 @@ DOCUMENTS = st.recursive(
 
 
 def plain(value):
-    """``value`` with each record-columns node replaced by its records and each
-    float64 array by its list, NaN in an array read as None."""
+    """``value`` with each record-columns node replaced by its records, each float64
+    array by its list, NaN in an array read as None, and each JSON-text column by
+    the values its texts read as."""
     if isinstance(value, np.ndarray):
         return [None if v != v else v for v in value.tolist()]
+    if isinstance(value, cli.JsonColumn):
+        return list(map(json.loads, value))
     if isinstance(value, cli.RecordColumns):
-        columns = [
-            list(map(json.loads, c)) if isinstance(c, cli.JsonColumn) else plain(c)
-            for c in value.values()
-        ]
+        columns = [plain(c) for c in value.values()]
         return [dict(zip(value, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
@@ -826,6 +838,21 @@ class TestRenderJson:
     @given(DOCUMENTS)
     def test_matches_json_dumps(self, doc):
         assert cli.render_json(doc) == canonical(plain(doc))
+
+    @pytest.mark.parametrize("array", [np.array([1, 2, 3]), np.array([1.5, 2.5], np.float32)],
+                             ids=["int64", "float32"])
+    def test_other_arrays_raise_as_json_does(self, array):
+        with pytest.raises(TypeError) as expected:
+            canonical({"n": array})
+        for doc in ({"n": array}, {"n": cli.RecordColumns({"a": array})}):
+            with pytest.raises(TypeError) as raised:
+                cli.render_json(doc)
+            assert str(raised.value) == str(expected.value)
+
+    def test_json_column_renders_as_its_texts_anywhere(self):
+        column = cli.JsonColumn(["1", '"a"', "null"])
+        expected = canonical({"j": [1, "a", None], "k": [[1, "a", None]], "e": []})
+        assert cli.render_json({"j": column, "k": [column], "e": cli.JsonColumn()}) == expected
 
     def test_leaves_json_renders_itself(self):
         class Number(float):
@@ -904,9 +931,8 @@ def pattern_scenarios(draw):
 
 
 @st.composite
-def count_reports(draw):
+def count_reports(draw, label=TEXT | st.sampled_from(["a,b", 'q"', "l\nm", "r\r"])):
     """decompose_empirical reports over labels that need quoting, with zero (degenerate) bins."""
-    label = TEXT | st.sampled_from(["a,b", 'q"', "l\nm", "r\r"])
     labels = draw(st.lists(label, min_size=1, max_size=12, unique=True))
     files = []
     for context in ("S", "S1", "S2"):
@@ -949,6 +975,64 @@ class TestCsvCells:
         )
         expected = ["%s,%.15g,%.15g,%.15g,%.15g,%s,%s,%s,%s" % row for row in rows]
         assert cli.analyze_lines(report)[1:-4] == expected
+
+
+@st.composite
+def grid_reports(draw):
+    """run_experiment reports on small grids, whose labels' string order is not their bin order."""
+    bins = draw(st.integers(1, 40))
+    x_min, x_max = draw(st.sampled_from([(-4.0, 4.0), (-0.001, 0.003), (9.5, 10.5)]))
+    doc = {**SCENARIO, "grid": {"bins": bins, "x_min": x_min, "x_max": x_max},
+           "envelopes": {"slit1": {"kind": "uniform"}, "slit2": {"kind": "uniform"}},
+           "sampling": {"n_emitted": draw(st.integers(60, 200)), "runs": 1, "seed": draw(st.integers(0, 9))}}
+    return run_experiment(cli.parse_scenario(doc))
+
+
+#: Labels whose JSON text holds escapes, and labels whose string order is not their bin order.
+ESCAPED_LABELS = TEXT | st.sampled_from(['"', "\\", "é", "\u2028", "b", "a", "10", "9", "a\0"])
+
+
+def adapter_document(report):
+    """The report document with each counts node replaced by the dict of its context's adapter."""
+    doc = plain(cli.report_document(report))
+    for counts in (report.counts_s, report.counts_s1, report.counts_s2):
+        doc["counts"][counts.context_id]["counts"] = counts.counts
+        assert doc["counts"][counts.context_id]["total_detected"] == counts.total_detected
+    return doc
+
+
+class TestCountsNode:
+    """Each context's counts render from its int64 row as json renders the adapter's dict."""
+
+    @given(count_reports(ESCAPED_LABELS) | grid_reports(), st.integers(1, 4), st.booleans())
+    def test_counts_render_as_the_adapter_dicts(self, report, block_rows, zero):
+        if zero:  # an all-zero row, which no estimate yields but the node renders
+            counts = report.counts.copy()
+            counts[1] = 0
+            report = dataclasses.replace(report, counts=counts)
+        with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+            assert cli.render_json(cli.report_document(report)) == canonical(adapter_document(report))
+
+    def test_key_order_differs_from_bin_order(self):
+        report = run_experiment(cli.parse_scenario(SCENARIO))
+        node = cli.report_document(report)["counts"]["S"]["counts"]
+        assert list(node) == sorted(report.labels) != list(report.labels)
+        assert [json.loads(k) for k in node.texts] == sorted(report.labels)
+
+    @pytest.mark.parametrize("bins", [1, 16])
+    def test_a_count_written_changes_that_count_only(self, bins):
+        report = run_experiment(cli.parse_scenario({**SCENARIO, "grid": {**SCENARIO["grid"], "bins": bins}}))
+        doc = cli.report_document(report)
+        counts = doc["counts"]["S"]["counts"]
+        label = next(iter(counts))
+        counts[label] += 1  # as the benchmark's smoke check corrupts a report
+        expected = adapter_document(report)
+        expected["counts"]["S"]["counts"][label] += 1
+        assert json.loads(cli.render_json(doc)) == expected
+        assert counts[label] == report.counts_s.counts[label] + 1  # the report keeps its counts
+        assert dict(counts) == expected["counts"]["S"]["counts"] and len(counts) == bins
+        with pytest.raises(KeyError):
+            counts["no such bin"] = 1
 
 
 # Count files: plain rows, with odd rows put in among them. The odd rows hold

@@ -109,7 +109,7 @@ class TestScenarioValidation:
         huge = GridSpec(MAX_BINS + 1, -4.0, 4.0)
         assert [v.invariant for v in validate_grid(huge)] == ["grid.bins"]
         assert validate_grid(GridSpec(MAX_BINS, -4.0, 4.0)) == []
-        # 2**24 bins would peak near 16 GB in pattern or simulate
+        # 2**24 bins would peak near 12 GB in simulate
         assert [v.invariant for v in validate_grid(GridSpec(2**24, -4.0, 4.0))] == ["grid.bins"]
 
     def test_grid_labels_are_unique_midpoints(self):
@@ -117,6 +117,13 @@ class TestScenarioValidation:
         labels = grid.labels()
         assert len(set(labels)) == 64
         assert labels[0] == repr(float(grid.midpoints()[0]))
+        # On a range a few ulps wide, midpoints (and so labels) coincide.
+        narrow = GridSpec(8, 1.0, 1.0000000000000004)
+        assert len(set(narrow.labels())) < 8
+        assert [(v.invariant, v.message) for v in validate_grid(narrow)] == [
+            ("grid.range", "8 bins have equal midpoints on this range")
+        ]
+        assert validate_grid(GridSpec(2, 1.0, 1.0000000000000004)) == []
 
     @pytest.mark.parametrize("mean, sigma", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf),
