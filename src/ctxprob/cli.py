@@ -8,12 +8,15 @@ Three subcommands:
 * ``analyze <S.csv> <S1.csv> <S2.csv>`` decomposes externally supplied
   count histograms.
 
-Exit codes: 0 success, 2 input/parse error, 3 runtime or statistical error.
+Exit codes: 0 success, 2 input/parse error (a bad ``--out`` too, found before
+any input is read), 3 runtime or statistical error (a failed write too), and 1
+when stdout is closed early (a pipe's reader is gone), without a message.
 Tabular output uses 15 significant digits; JSON reports use shortest
-round-trip float rendering with sorted keys, so parse/re-serialize is
-byte-identical. Both formats render each distinct value of a float column
-once and reuse the texts of an equal column; a report renders its counts from
-their int64 rows, and each label, kind and sign text is made once.
+round-trip float rendering with sorted keys, so ``json.loads`` then
+``json.dumps(sort_keys=True, indent=2)`` gives the same bytes. Both formats
+render each distinct value of a float column once and reuse the texts of an
+equal column; a report renders its counts from their int64 rows, and each
+label, kind and sign text is made once.
 ``analyze`` reads plain ``label,count`` files (LF or CRLF line ends) as columns,
 any other with ``csv`` row by row, and reads back the labels with line breaks
 that it writes quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
@@ -35,6 +38,7 @@ import re
 import stat
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import suppress
 from functools import cached_property
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -301,8 +305,8 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
 
 class RecordColumns(dict):
     """Records held as columns: ``node[name][i]`` is field ``name`` of record ``i``.
-    It renders as the list of records, with NaN in a float64 array column as
-    ``null``; the other columns hold plain scalars or are a :class:`JsonColumn`."""
+    It renders as the list of records. Each column is a 1-D float64 array, whose NaN
+    renders as ``null``, or a :class:`JsonColumn`."""
 
 
 class JsonColumn(tuple):
@@ -342,7 +346,7 @@ class JsonCounts(Mapping):
 def report_document(report: ExperimentReport) -> dict:
     t = report.table
     labels, x = report.labels, report.x
-    if report.bin_labels is None:  # each label is the text of its bin's finite x
+    if report.bin_labels is None:  # position_labels: each label is the JSON text of its finite x
         x = JsonColumn(labels)
     keys = np.array(list(map(encode_basestring_ascii, labels)), object)
     order = np.array(sorted(range(len(labels)), key=labels.__getitem__), np.intp)
@@ -370,7 +374,7 @@ def report_document(report: ExperimentReport) -> dict:
         "classification_tol": report.classification_tol,
         "bins": RecordColumns({
             "bin": JsonColumn(keys.tolist()),
-            "x": (None,) * len(labels) if x is None else x,
+            "x": JsonColumn(("null",) * len(labels)) if x is None else x,
             "p_s": t.p_s,
             "p_1": t.p1,
             "p_2": t.p2,
@@ -387,41 +391,18 @@ def report_document(report: ExperimentReport) -> dict:
     }
 
 
-# JSON text of each plain scalar type; floats must be finite (see _column).
-_SCALARS = {
-    float: float.__repr__,
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: {False: "false", True: "true"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _column(values) -> Sequence[str] | None:
-    """The JSON text of each value of a run: a :class:`JsonColumn` is text already, a 1-D
-    float64 array's NaN is ``null`` and its +-inf raises json's ``ValueError``, any other
-    array raises json's ``TypeError``, and any other run has text (else None) if all its
-    values are plain finite scalars."""
-    kind = type(values)
-    if kind is JsonColumn:
+def _column(values) -> Sequence[str]:
+    """The JSON text of each value of a column: a :class:`JsonColumn` is text already, a 1-D
+    float64 array's NaN is ``null`` and its +-inf raises json's ``ValueError``, and anything
+    else raises json's ``TypeError``."""
+    if type(values) is JsonColumn:
         return values
-    if kind is np.ndarray:
-        if values.dtype != float or values.ndim != 1:
-            json.dumps(values)  # json's own error: an array is not JSON serializable
-        infinite = values[np.isinf(values)]
-        if len(infinite):  # json's own error, which names the value when indenting
-            json.dumps(infinite[0].item(), indent=2, allow_nan=False)
-        return _texts(values, repr, "null")
-    types = set(map(type, values))
-    if not types <= _SCALARS.keys():
-        return None
-    if float in types:
-        floats = values if len(types) == 1 else [v for v in values if type(v) is float]
-        if not all(map(math.isfinite, floats)):
-            return None
-    if len(types) == 1:
-        return list(map(_SCALARS[types.pop()], values))
-    return [_SCALARS[type(v)](v) for v in values]
+    if type(values) is not np.ndarray or values.dtype != float or values.ndim != 1:
+        raise TypeError(f"Object of type {type(values).__name__} is not JSON serializable")
+    infinite = values[np.isinf(values)]
+    if len(infinite):  # json's own error, which names the value when indenting
+        json.dumps(infinite[0].item(), indent=2, allow_nan=False)
+    return _texts(values, repr, "null")
 
 
 #: Records of a :class:`RecordColumns` node rendered per chunk of text.
@@ -442,9 +423,8 @@ def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
         count = min(BLOCK_ROWS, rows - start)
         pieces = [close + ",\n" + inner] * (step * count)
         for i, name in enumerate(names):
-            block = node[name][start:start + BLOCK_ROWS]
             pieces[2 * i::step] = [heads[i]] * count
-            pieces[2 * i + 1::step] = _column(block) or ["".join(_render(v, field)) for v in block]
+            pieces[2 * i + 1::step] = _column(node[name][start:start + BLOCK_ROWS])
         pieces[-1] = close
         yield ("," if start else "[") + "\n" + inner  # a chunk of its own: the block is not copied
         yield "".join(pieces)
@@ -453,60 +433,38 @@ def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
 
 def _render(value, pad: str) -> Iterator[str]:
     """The text of ``value``, indented at ``pad``, in chunks."""
-    kind = type(value)
-    if kind is dict and all(type(k) is str for k in value):
-        keys = sorted(value)
-        heads = list(map(encode_basestring_ascii, keys))
-        items, brackets = [value[k] for k in keys], "{}"
-    elif kind is JsonCounts:
-        heads, items, brackets = value.texts, JsonColumn(_texts(value.row, int.__repr__, "")), "{}"
-    elif kind in (list, tuple, JsonColumn) or kind is np.ndarray and value.dtype == float and value.ndim == 1:
-        heads, items, brackets = None, value, "[]"
+    kind, inner = type(value), pad + "  "
+    if kind is dict:  # small: key by key; encode_basestring_ascii raises on a non-str key
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + "\n" + inner + encode_basestring_ascii(key) + ": "
+            yield from _render(value[key], inner)
+        yield "\n" + pad + "}" if value else "{}"
     elif kind is RecordColumns:
         yield from _record_rows(value, pad)
-        return
-    else:
-        column = _column((value,))
-        if column is not None:
-            yield column[0]
-        else:
-            # Non-str keys, subclasses, non-finite floats and unserializable
-            # objects: json's own text (or error), re-indented. JSON strings
-            # never hold a raw newline, so the replace is exact.
-            text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-            yield text.replace("\n", "\n" + pad)
-        return
-    if not len(items):
-        yield brackets
-        return
-    inner = pad + "  "
-    comma = ",\n" + inner
-    column = _column(items)
-    yield brackets[0] + "\n" + inner
-    if column is None:
-        for i, item in enumerate(items):
-            yield (comma if i else "") + (heads[i] + ": " if heads else "")
-            yield from _render(item, inner)
-    elif heads is None:
-        yield comma.join(column)
-    else:  # a chunk of pieces, not a string per key and value
-        pieces = [comma, None, ": ", None] * len(column)
-        pieces[0], pieces[1::4], pieces[3::4] = "", heads, column
-        yield "".join(pieces)
-    yield "\n" + pad + brackets[1]
+    elif value is None or kind in (str, int, float, bool):
+        yield json.dumps(value, indent=2, allow_nan=False)
+    elif kind is JsonCounts:  # one chunk of pieces, not a string per entry
+        pieces = [",\n" + inner, None, ": ", None] * len(value.row) + ["\n" + pad + "}"]
+        pieces[1::4], pieces[3::4] = value.texts, _texts(value.row, int.__repr__, "")
+        pieces[0] = "{\n" + inner
+        yield "".join(pieces) if len(value.row) else "{}"
+    else:  # a column's list: _column raises on any other value
+        texts, comma = _column(value), ",\n" + inner
+        yield from ("[\n" + inner, comma.join(texts), "\n" + pad + "]") if len(texts) else ["[]"]
 
 
 def render_json(doc: dict) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline.
+    """Canonical JSON rendering of a report: sorted keys, two-space indent, newline.
 
-    The text equals ``json.dumps(doc, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n"``, and a non-finite float raises the same
-    ``ValueError``. A 1-D float64 array, anywhere in ``doc``, renders as the
-    list of its values with NaN as ``null`` (a :class:`JsonColumn`, of its
-    texts); a :class:`RecordColumns` node renders as its records and a
-    :class:`JsonCounts` node as its dict. With ``indent`` set, ``json.dumps``
-    encodes value by value in Python; here each run of values (a list, a
-    dict's values, an array, a node's column) is rendered as one column.
+    ``doc`` is a dict with str keys whose values are such dicts, scalars
+    (``None``, ``bool``, ``int``, ``float``, ``str``) or column nodes: a 1-D
+    float64 array renders as the list of its values with NaN as ``null``, a
+    :class:`JsonColumn` as the list of its texts, a :class:`RecordColumns`
+    node as its records and a :class:`JsonCounts` node as its dict. The text
+    equals ``json.dumps(sort_keys=True, indent=2, allow_nan=False) + "\\n"``
+    of the plain document, and a non-finite float raises the same
+    ``ValueError``. Any other value (a list, a tuple, a subclass, a non-str
+    key, another array) raises ``TypeError``.
     """
     return "".join(chain(_render(doc, ""), ["\n"]))
 
@@ -654,31 +612,65 @@ def read_counts_csv(path: str, context_id: str) -> EnsembleCounts:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks to stdout or ``--out``, replacing a plain file only once complete."""
+def _out_path(out: str | None) -> Path | None:
+    """``--out`` (None for stdout), under ``CTXPROB_OUT_DIR`` if relative; a
+    :class:`ScenarioError` if it names a directory or a file lies on its way."""
     if out is None:
-        sys.stdout.writelines(chunks)
-        return
+        return None
     path = Path(out)
     base = os.environ.get(ENV_OUT_DIR)
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    st = path.lstat() if os.path.lexists(path) else None
-    if st and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):  # link, FIFO, device
-        with path.open("w", encoding="utf-8") as stream:
-            stream.writelines(chunks)
-        return
-    partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with partial.open("x", encoding="utf-8") as stream:
-            stream.writelines(chunks)
-        if st:  # the replaced file keeps its permissions
-            partial.chmod(stat.S_IMODE(st.st_mode))
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+        if path.is_dir() or out.endswith(os.sep):
+            raise ScenarioError([("--out", f"{out!r} names a directory")])
+        found = next(p for p in path.parents if p.exists())  # made at write time if missing
+        if not found.is_dir():
+            raise ScenarioError([("--out", f"{str(found)!r} is not a directory")])
+    except OSError as exc:  # a name too long, a directory that cannot be searched
+        raise ScenarioError([("--out", f"cannot check {exc.filename!r}: {exc.strerror}")]) from None
+    return path
+
+
+def _emit(chunks: Iterable[str], path: Path | None) -> None:
+    """Write the chunks to stdout or ``path``, replacing a plain file only once complete.
+
+    Raises:
+        ContextualError: ``--out: ...`` or ``stdout: ...`` if a write fails.
+        SystemExit: 1, quietly, if stdout is closed early (its pipe's reader is gone).
+    """
+    try:
+        if path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # a failed write raises here, not at exit
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        st = path.lstat() if os.path.lexists(path) else None
+        if st and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):  # link, FIFO, device
+            with path.open("w", encoding="utf-8") as stream:
+                stream.writelines(chunks)
+            return
+        partial = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            with partial.open("x", encoding="utf-8") as stream:
+                stream.writelines(chunks)
+            if st:  # the replaced file keeps its permissions
+                partial.chmod(stat.S_IMODE(st.st_mode))
+            os.replace(partial, path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        if path is not None:
+            raise ContextualError(f"--out: cannot write {str(path)!r}: {exc.strerror}") from None
+        # As the SIGPIPE note does: the text still buffered goes to devnull at exit,
+        # where writing it again would print a second error and exit with 120.
+        with suppress(OSError, ValueError):  # a stream with no file descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        if isinstance(exc, BrokenPipeError):  # the reader is gone: end quietly
+            raise SystemExit(1) from None  # the code of the SIGPIPE note in the signal module's docs
+        raise ContextualError(f"stdout: {exc.strerror}") from None
 
 
 def _text_blocks(lines: Iterable[str]) -> Iterator[str]:
@@ -776,6 +768,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.out = _out_path(args.out)  # checked before any input is read
         return args.func(args)
     except ScenarioError as exc:
         for path, message in exc.problems:

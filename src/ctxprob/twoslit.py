@@ -60,6 +60,12 @@ MAX_BINS = 2**21
 MAX_RUNS = 2**16
 
 
+def position_labels(x: np.ndarray) -> tuple[str, ...]:
+    """The labels of bins at the places ``x``: each is the ``repr`` of its place, the
+    shortest text that reads back as the same float. A grid's bins are labelled so."""
+    return tuple(map(float.__repr__, x.tolist()))
+
+
 @dataclass(frozen=True, slots=True)
 class GridSpec:
     """Uniform one-dimensional bin grid on the detection line."""
@@ -77,7 +83,7 @@ class GridSpec:
         return self.x_min + (i + 0.5) * self.width
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(map(float.__repr__, self.midpoints().tolist()))
+        return position_labels(self.midpoints())
 
     def outcome_space(self) -> OutcomeSpace:
         return OutcomeSpace(self.labels())
@@ -333,7 +339,7 @@ class ExperimentReport:
     emitted. The per-bin estimates are the columns of ``table``. All follow
     the bins by position: ``x`` holds their places on the detection line
     (NaN where unknown), if known, and ``bin_labels`` their labels; None
-    labels each bin by the ``repr`` of its place, as on a grid.
+    labels them by :func:`position_labels` of ``x``, as on a grid.
     """
 
     counts: np.ndarray
@@ -350,7 +356,7 @@ class ExperimentReport:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        return self.bin_labels or tuple(map(float.__repr__, self.x.tolist()))
+        return self.bin_labels or position_labels(self.x)
 
     def _ensemble(self, context: int) -> EnsembleCounts:
         counts = dict(zip(self.labels, self.counts[context].tolist()))
@@ -367,8 +373,8 @@ def _estimate(
 ) -> ExperimentReport:
     """The report on the three histograms whose counts are the rows of ``counts``."""
     totals = counts.sum(axis=1).tolist()
-    coeffs = splitting_from_totals(*totals)
-    for which, total in zip(CONTEXT_IDS, totals):
+    coeffs = splitting_from_totals(*totals)  # raises if the pooled context detected nothing
+    for which, total in zip(CONTEXT_IDS[1:], totals[1:]):
         if total == 0:
             raise ZeroEnsemble(f"context {which!r} has zero detected systems")
     probs = (c / total for c, total in zip(counts, totals))
@@ -464,7 +470,6 @@ def alternative_condition_check(report: ExperimentReport, n_sigma: float) -> tup
         ZeroEnsemble: if the pooled context detected nothing.
     """
     n, n1, n2 = report.counts.sum(axis=1).tolist()
-    if n == 0:
-        raise ZeroEnsemble("pooled context has zero detected systems")
+    splitting_from_totals(n, n1, n2)  # raises if the pooled context detected nothing
     deviation = abs(n1 + n2 - n) / math.sqrt(n)
     return deviation <= n_sigma, deviation

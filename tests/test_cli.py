@@ -1,7 +1,8 @@
-import collections
 import csv
 import dataclasses
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -288,7 +289,7 @@ class TestSimulate:
         scenario = write_scenario(tmp_path)
         code, out, _ = run_cli(capsys, "simulate", scenario)
         assert code == 0
-        assert cli.render_json(json.loads(out)) == out
+        assert canonical(json.loads(out)) == out
 
     @pytest.mark.parametrize("constant, overrides", [
         ("NaN", {"envelopes": {
@@ -748,37 +749,11 @@ TEXT = st.text(max_size=6) | st.sampled_from(["%", "%s", '"', "\n", "é", "∑ %
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e300])
 SCALARS = FLOATS | st.integers() | st.booleans() | st.none() | TEXT
 
-
-@st.composite
-def record_lists(draw, children):
-    """Flat records sharing a key set, sometimes with one record that is not flat."""
-    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    rows = draw(st.lists(st.fixed_dictionaries({k: SCALARS for k in keys}), min_size=1, max_size=5))
-    odd = rows[draw(st.integers(0, len(rows) - 1))]
-    change = draw(st.sampled_from(["none", "extra key", "renamed key", "nested value"]))
-    if change in ("extra key", "renamed key"):
-        odd["".join(keys) + "!"] = odd.pop(keys[0]) if change == "renamed key" else draw(SCALARS)
-    elif change == "nested value":
-        odd[keys[0]] = draw(children)
-    return rows
-
-
 #: 1-D float64 arrays, which render as lists with NaN as null.
 ARRAYS = st.lists(FLOATS | st.just(math.nan), max_size=4).map(lambda v: np.array(v, float))
 #: Values already rendered as JSON text, which render as the list of them.
 JSON_COLUMNS = st.lists(SCALARS, max_size=4).map(
     lambda v: cli.JsonColumn(map(json.dumps, v))
-)
-
-DOCUMENTS = st.recursive(
-    SCALARS | ARRAYS | JSON_COLUMNS,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=4).map(tuple)
-        | st.dictionaries(TEXT, children, max_size=4)
-        | record_lists(children)
-    ),
-    max_leaves=30,
 )
 
 
@@ -795,8 +770,6 @@ def plain(value):
         return [dict(zip(value, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
     return value
 
 
@@ -807,18 +780,23 @@ NODE_FLOATS = st.floats(allow_infinity=False) | st.sampled_from(
 
 @st.composite
 def record_columns(draw):
-    """A node of float64, str, None/int and JSON-text columns of one length."""
+    """A node of float64 and JSON-text columns of one length."""
     rows = draw(st.integers(0, 9))
     column = st.sampled_from([
         st.lists(NODE_FLOATS, min_size=rows, max_size=rows).map(np.array),
-        st.lists(TEXT, min_size=rows, max_size=rows),
-        st.lists(st.none() | st.integers(), min_size=rows, max_size=rows),
-        st.lists(FLOATS, min_size=rows, max_size=rows).map(
-            lambda v: cli.JsonColumn(map(float.__repr__, v))
+        st.lists(SCALARS, min_size=rows, max_size=rows).map(
+            lambda v: cli.JsonColumn(map(json.dumps, v))
         ),
     ])
     names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     return cli.RecordColumns({name: draw(draw(column)) for name in names})
+
+
+DOCUMENTS = st.recursive(
+    SCALARS | ARRAYS | JSON_COLUMNS | record_columns(),
+    lambda children: st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=30,
+)
 
 
 class TestRenderJson:
@@ -826,14 +804,14 @@ class TestRenderJson:
     def test_record_columns_render_as_their_records(self, node, block_rows, depth):
         doc = node
         for _ in range(depth):
-            doc = {"x": [1, doc]}
+            doc = {"x": 1, "y": doc}
         with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
             assert cli.render_json(doc) == canonical(plain(doc))
 
-
     def test_equal_floats_of_other_bits_keep_their_own_text(self):
         node = cli.RecordColumns({"v": np.array([0.0, -0.0, 1e16, -0.0, 0.0, math.nan, 1e16])})
-        assert cli.render_json([node, node]) == canonical(plain([node, node]))
+        doc = {"a": node, "b": {"c": node}}
+        assert cli.render_json(doc) == canonical(plain(doc))
 
     @given(DOCUMENTS)
     def test_matches_json_dumps(self, doc):
@@ -851,34 +829,29 @@ class TestRenderJson:
 
     def test_json_column_renders_as_its_texts_anywhere(self):
         column = cli.JsonColumn(["1", '"a"', "null"])
-        expected = canonical({"j": [1, "a", None], "k": [[1, "a", None]], "e": []})
-        assert cli.render_json({"j": column, "k": [column], "e": cli.JsonColumn()}) == expected
+        expected = canonical({"j": [1, "a", None], "k": {"l": [1, "a", None]}, "e": []})
+        assert cli.render_json({"j": column, "k": {"l": column}, "e": cli.JsonColumn()}) == expected
 
-    def test_leaves_json_renders_itself(self):
-        class Number(float):
-            pass
-
-        doc = {
-            "int keys": {2: [0.5, None], 1: {"x": -0.0}},
-            "ordered": [collections.OrderedDict(b=1, a=[2, "%"])],
-            "subclass": [Number(1.5), 2.0],
-            "empty": [[], {}, ()],
-        }
-        assert cli.render_json(doc) == canonical(doc)
+    @pytest.mark.parametrize("doc", [
+        {"a": [1.0, 2.0]},
+        {"a": (1.0, 2.0)},
+        {"a": {2: 1.0}},
+        {"a": object()},
+        {"a": cli.RecordColumns({"b": [1.0, 2.0]})},
+    ], ids=["list", "tuple", "int key", "object", "list column"])
+    def test_shapes_a_report_does_not_hold_raise(self, doc):
         with pytest.raises(TypeError):
-            cli.render_json({"a": [1, object()]})
+            cli.render_json(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [
-        lambda v: [1.0, v, 2.0],
         lambda v: {"a": None, "b": v},
-        lambda v: [{"a": 1.0, "b": 2.0}, {"a": 3.0, "b": v}],
-        lambda v: {"a": [{"b": [v]}, "text"]},
-        # NaN in a float64 column is null; the list column's NaN raises after it
-        lambda v: {"a": cli.RecordColumns({"a": np.array([1.0, v]), "b": [2.0, math.nan]})},
-        # likewise NaN in a float64 array; the list's NaN after it raises
-        lambda v: {"a": np.array([math.nan, -0.0, v]), "b": [v]},
-    ], ids=["float column", "none/float column", "record column", "nested leaf", "node", "array"])
+        lambda v: {"a": {"b": {"c": v}}, "d": "text"},
+        # NaN in a float64 column is null; the leaf's NaN raises after it
+        lambda v: {"a": cli.RecordColumns({"a": np.array([1.0, v])}), "b": v},
+        # likewise NaN in a float64 array; the leaf's NaN after it raises
+        lambda v: {"a": np.array([math.nan, -0.0, v]), "b": v},
+    ], ids=["none/float column", "nested leaf", "node", "array"])
     def test_non_finite_floats_raise_as_json_does(self, bad, where):
         doc = where(bad)
         with pytest.raises(ValueError) as expected:
@@ -1083,8 +1056,11 @@ class TestCountFiles:
 
 
 def src_env():
+    """The environment of a ``python -m ctxprob`` subprocess, with stdout buffered as usual."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_underflowing_gaussian_prints_only_the_error(tmp_path):
@@ -1116,3 +1092,139 @@ def test_python_m_runs_the_cli(module):
     )
     assert done.returncode == 2
     assert "error: no_such_scenario.json:" in done.stderr
+
+
+COMMANDS = {
+    "pattern": ["pattern", "missing.json"],
+    "simulate": ["simulate", "missing.json"],
+    "analyze": ["analyze", "s.csv", "s1.csv", "s2.csv"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("out, out_dir, message", [
+    ("d", None, "'{tmp}/d' names a directory"),
+    ("x/", None, "'{tmp}/x/' names a directory"),
+    ("f/x", None, "'{tmp}/f' is not a directory"),
+    ("f/x/y", None, "'{tmp}/f' is not a directory"),
+    ("x", "f", "'{tmp}/f' is not a directory"),
+    ("", None, "'' names a directory"),
+    ("n" * 300 + "/x", None, "cannot check '{tmp}/%s/x': File name too long" % ("n" * 300)),
+], ids=["directory", "trailing slash", "under a file", "below a file", "out dir is a file", "empty",
+        "name too long"])
+def test_bad_out_exits_2_before_any_input_is_read(
+    capsys, tmp_path, monkeypatch, command, out, out_dir, message
+):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("a file\n")
+    if out_dir:
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / out_dir))
+    elif out:
+        out = os.path.join(tmp_path, out)
+    # The inputs do not exist: only the --out problem is reported.
+    code, stdout, err = run_cli(capsys, *COMMANDS[command], "--out", out)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out: {message.format(tmp=tmp_path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
+    assert (tmp_path / "f").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_directories_are_made_only_at_write_time(capsys, tmp_path, command):
+    out = tmp_path / "new" / "dir" / "out.txt"
+    code, _, err = run_cli(capsys, *COMMANDS[command], "--out", str(out))
+    assert code == 2 and err.startswith("error: ") and "--out" not in err
+    assert list(tmp_path.iterdir()) == []  # the input error leaves no directory behind
+    if command == "pattern":
+        code, _, err = run_cli(capsys, "pattern", write_scenario(tmp_path), "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_text().startswith("x,p1,p2,theta,")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_to_a_full_device_exits_3(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "pattern", write_scenario(tmp_path), "--out", "/dev/full")
+    assert (code, out) == (3, "")
+    assert err == "error: --out: cannot write '/dev/full': No space left on device\n"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_exits_3_and_leaves_no_temporary_file(capsys, tmp_path, monkeypatch, existing):
+    scenario = write_scenario(tmp_path)
+    target = tmp_path / "pattern.csv"
+    if existing:
+        target.write_text("an earlier table\n")
+    real_open = Path.open
+
+    def open_then_fill_the_disk(path, *args, **kwargs):
+        stream = real_open(path, *args, **kwargs)
+
+        def writelines(chunks):  # the first chunk reaches the file, then the disk is full
+            stream.write(next(iter(chunks)))
+            stream.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stream.writelines = writelines
+        return stream
+
+    monkeypatch.setattr(Path, "open", open_then_fill_the_disk)
+    code, out, err = run_cli(capsys, "pattern", scenario, "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err == f"error: --out: cannot write {str(target)!r}: No space left on device\n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == (["pattern.csv", "scenario.json"] if existing else ["scenario.json"])
+    assert not existing or target.read_text() == "an earlier table\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("bins", [16, 16384])
+@pytest.mark.parametrize("command", ["pattern", "simulate"])
+def test_stdout_to_a_full_device_exits_3(tmp_path, command, bins):
+    # The first write fails while stdout still buffers text: without its
+    # redirection to devnull, the flush at exit would fail again (exit 120).
+    path = write_scenario(tmp_path, grid={"bins": bins, "x_min": -4.0, "x_max": 4.0})
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "ctxprob", command, path],
+            env=src_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert (done.returncode, done.stderr) == (3, "error: stdout: No space left on device\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_stdout_failing_at_the_flush_exits_3(capsys, tmp_path, monkeypatch):
+    class Disk(io.RawIOBase):
+        full = True
+
+        def writable(self):
+            return True
+
+        def write(self, data):
+            if self.full:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return len(data)
+
+    disk = Disk()
+    # A buffer larger than the output: nothing reaches the disk before the flush.
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(disk, 1 << 20)))
+    assert cli.main(["pattern", write_scenario(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: stdout: No space left on device\n"
+    disk.full = False  # so that the stream closes cleanly
+
+
+@pytest.mark.parametrize("read", [0, 10])
+@pytest.mark.parametrize("command, head", [
+    ("pattern", b"x,p1,p2,th"), ("simulate", b'{\n  "repor'),
+], ids=["pattern", "simulate"])
+def test_stdout_closed_early_exits_1_quietly(tmp_path, command, head, read):
+    # Far more output than a pipe buffers, so the writer meets the closed pipe;
+    # closed before any read, the pipe fails the first write, as /dev/full does.
+    path = write_scenario(tmp_path, grid={"bins": 16384, "x_min": -4.0, "x_max": 4.0})
+    with subprocess.Popen(
+        [sys.executable, "-m", "ctxprob", command, path],
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(read) == head[:read]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
