@@ -14,9 +14,11 @@ acceptance draw with probability 1/2 (only one opening is active, so on
 average half the systems come through) and the survivors land in bins drawn
 from that branch's envelope. Contexts are sampled independently.
 
-Each (context, run) pair gets its own counter-derived random stream keyed by
-``(seed, context index, run index)``, so runs may be executed concurrently in
-any order and the aggregate result is identical to sequential execution.
+Each (context, run) pair gets its own counter-based random stream, Philox keyed by
+numpy's ``SeedSequence(entropy=seed, spawn_key=(context index, run index))``, so runs
+may be executed concurrently in any order and the aggregate result is identical to
+sequential execution. The keys of all pairs are computed in one array pass, and each
+stripe of pairs reuses one generator, reset to each pair's key.
 
 The analysis half estimates every contextual quantity from the simulated (or
 externally supplied) histograms: splitting coefficients with their sharing
@@ -305,29 +307,66 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     return ContextualDistribution("S", dict(zip(scenario.grid.labels(), pattern.tolist())))
 
 
-def _sample(
-    scenario: TwoSlitScenario, distributions: tuple[np.ndarray, ...], context: int, run: int
-) -> np.ndarray:
-    """One collection period's histogram for the context at index ``context``."""
-    seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(context, run))
-    rng = np.random.Generator(np.random.Philox(seed=seq))
-    detected = scenario.n_emitted
-    if context:  # a branch context passes each system with probability 1/2
-        detected = int(rng.binomial(detected, BRANCH_ACCEPTANCE))
-    return rng.multinomial(detected, distributions[context])
+def _hasher(const: int, mult: int):
+    """numpy ``SeedSequence``'s ``hashmix`` on uint32 arrays, its constants running ``const * mult**k``."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = 0xCA01F9DD * x - 0x4973F715 * y
+    return r ^ r >> 16
+
+
+def _philox_keys(seed: int, contexts: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Each (context, run) pair's Philox key in one pass, a uint64 row per pair: the words of
+    ``SeedSequence(entropy=seed, spawn_key=(context, run)).generate_state(2, np.uint64)``.
+    numpy hashes the words ``[seed_lo, seed_hi, 0, 0, context, run]`` into a pool of 4. The first
+    four give ``SeedSequence(seed)``'s pool (it hashes missing words as 0) after 16 hashes, so the
+    chain goes on from its 17th constant; a run is one word."""
+    hashmix = _hasher(0x43B0D7E5 * 0x931E8875**16 & 0xFFFFFFFF, 0x931E8875)
+    pool = list(np.random.SeedSequence(seed).pool.reshape(4, 1))
+    for word in (contexts.astype(np.uint32), runs.astype(np.uint32)):
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    lo0, hi0, lo1, hi1 = map(_hasher(0x8B51F9DD, 0x58F38DED), pool)  # generate_state's hash
+    return np.stack([lo0 | hi0.astype(np.uint64) << 32, lo1 | hi1.astype(np.uint64) << 32], axis=1)
+
+
+def _samples(scenario: TwoSlitScenario, distributions: tuple[np.ndarray, ...], contexts, runs):
+    """Yield each (context, run) pair's context index and histogram, drawn from one generator
+    reset to the stream of ``Philox(SeedSequence(entropy=seed, spawn_key=(context, run)))``."""
+    bitgen = np.random.Philox(0)
+    rng, state = np.random.Generator(bitgen), bitgen.state
+    for context, key in zip(contexts.tolist(), _philox_keys(scenario.seed, contexts, runs)):
+        state["state"]["key"] = key
+        bitgen.state = state
+        detected = scenario.n_emitted
+        if context:  # a branch context passes each system with probability 1/2
+            detected = int(rng.binomial(detected, BRANCH_ACCEPTANCE))
+        yield context, rng.multinomial(detected, distributions[context])
 
 
 def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> EnsembleCounts:
     """Simulate one collection period for one context.
 
     Deterministic given ``(scenario.seed, which, run)``; the stream for each
-    (context, run) pair is independent of all others.
+    (context, run) pair is independent of all others. ``run`` is an ``int`` from
+    0 to ``MAX_RUNS - 1``; it may exceed the scenario's own ``runs``.
     """
     if which not in CONTEXT_IDS:
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
+    if isinstance(run, bool) or not isinstance(run, int) or not 0 <= run < MAX_RUNS:
+        raise ValueError(f"run must be an int from 0 to {MAX_RUNS - 1}, got {run!r}")
     distributions, _ = _distributions(scenario)
-    counts = _sample(scenario, distributions, CONTEXT_IDS.index(which), run).tolist()
-    return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts)), scenario.n_emitted)
+    [(_, counts)] = _samples(scenario, distributions, np.array([CONTEXT_IDS.index(which)]), np.array([run]))
+    return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts.tolist())), scenario.n_emitted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,9 +485,9 @@ def run_experiment(
 
     def stripe(first: int) -> np.ndarray:  # the pairs first, first + stripes, ...
         totals = np.zeros((len(CONTEXT_IDS), scenario.grid.bins), dtype=np.int64)
-        for task in range(first, tasks, stripes):
-            context, run = divmod(task, scenario.runs)
-            totals[context] += _sample(scenario, distributions, context, run)
+        pairs = np.divmod(np.arange(first, tasks, stripes), scenario.runs)
+        for context, counts in _samples(scenario, distributions, *pairs):
+            totals[context] += counts
         return totals
 
     with ThreadPoolExecutor(max_workers=stripes) as pool:

@@ -76,6 +76,26 @@ def test_small_x_output_is_pinned(capsys, tmp_path, argv, size, digest):
     assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == (size, digest)
 
 
+#: ``simulate`` of the golden scenario at seeds of two 32-bit words.
+TWO_WORD_SEED = "7a274068a4e651938067ea48110e44037a292845a0a2d6421488f2bba8c40f19"
+SEVEN_RUNS = "0f076d0e71bd192d15605f346b82ad996eefb715ed61abaa53f9fd6a02cbde21"
+
+
+@pytest.mark.parametrize("argv, sampling, digest", [
+    (["--seed", str(2**64 - 1), "simulate", "--workers", "1"], {}, TWO_WORD_SEED),
+    (["--seed", str(2**64 - 1), "simulate", "--workers", "2"], {}, TWO_WORD_SEED),
+    (["simulate", "--workers", "2"], {"runs": 7, "seed": 2**32}, SEVEN_RUNS),
+], ids=["seed-2**64-1-workers-1", "seed-2**64-1-workers-2", "seed-2**32-runs-7-workers-2"])
+def test_two_word_seeds_are_pinned(capsys, tmp_path, argv, sampling, digest):
+    doc = json.loads((GOLDENS / "freewave_small.json").read_text())
+    doc["sampling"].update(sampling)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, *argv, str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestPattern:
     def test_classical_columns_coincide(self, capsys, tmp_path):
         path = write_scenario(

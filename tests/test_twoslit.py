@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ctxprob import (
     EnsembleCounts,
@@ -29,7 +30,7 @@ from ctxprob import (
     validate_scenario,
 )
 from ctxprob.interference import DEGENERATE, TRIGONOMETRIC
-from ctxprob.twoslit import MAX_BINS, MAX_RUNS, validate_grid
+from ctxprob.twoslit import MAX_BINS, MAX_RUNS, _philox_keys, validate_grid
 
 
 def gaussian_scenario(bins=128, span=4.0, phase=None, n_emitted=10**5, runs=1, seed=1012):
@@ -291,6 +292,46 @@ class TestSimulateContext:
     def test_unknown_context_rejected(self):
         with pytest.raises(ValueError, match="context"):
             simulate_context(gaussian_scenario(), "S3")
+
+    @pytest.mark.parametrize("run", [-1, 1.5, True, False, MAX_RUNS, np.int64(1), "1"])
+    def test_run_must_be_an_int_below_max_runs(self, run):
+        with pytest.raises(ValueError, match="^run must be an int from 0 to 65535, got "):
+            simulate_context(gaussian_scenario(), "S", run)
+
+    def test_any_run_below_max_runs_is_drawn(self):
+        sc = gaussian_scenario(n_emitted=1000)  # one run
+        for run in (1, MAX_RUNS - 1):
+            assert simulate_context(sc, "S1", run).total_emitted == 1000
+
+
+def reference_keys(seed, contexts, runs):
+    return np.array([
+        np.random.SeedSequence(entropy=seed, spawn_key=(int(c), int(r))).generate_state(2, np.uint64)
+        for c, r in zip(contexts, runs)
+    ])
+
+
+class TestStreamKeys:
+    PAIRS = [(c, r) for c in range(3) for r in (0, 1, 2, MAX_RUNS - 1)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_keys_are_seed_sequences(self, seed):
+        contexts, runs = map(np.array, zip(*self.PAIRS))
+        keys = _philox_keys(seed, contexts, runs)
+        assert keys.dtype == np.uint64 and keys.shape == (len(self.PAIRS), 2)
+        np.testing.assert_array_equal(keys, reference_keys(seed, contexts, runs))
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_keys_at_any_seed(self, seed):
+        contexts, runs = np.array([0, 1, 2, 2]), np.array([0, 7, 1, MAX_RUNS - 1])
+        np.testing.assert_array_equal(_philox_keys(seed, contexts, runs), reference_keys(seed, contexts, runs))
+
+    def test_keys_give_philox_seeded_streams(self):
+        sc = gaussian_scenario(n_emitted=1000, seed=2**64 - 1)
+        seq = np.random.SeedSequence(entropy=sc.seed, spawn_key=(1, 4))
+        rng = np.random.Generator(np.random.Philox(seq))
+        expected = rng.multinomial(rng.binomial(1000, 0.5), sc.envelope1 / sc.envelope1.sum())
+        assert list(simulate_context(sc, "S1", 4).counts.values()) == expected.tolist()
 
 
 class TestRunExperiment:
