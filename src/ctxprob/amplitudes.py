@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DISTRIBUTION_SUM_TOL, OutcomeSpace, SplittingCoefficients
+from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients
 from .errors import NormalizationError
 from .interference import forward_hyp, read_only, same_fields
 
@@ -113,7 +113,7 @@ def synthesize_wave(
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityWave:
-    """Complex amplitudes over an outcome space, as read-only arrays aligned with ``space.bins``.
+    """Complex amplitudes over the bins of an outcome space, as read-only arrays of one length.
 
     Contract: every ``|amp|^2`` lies in [0, 1] and the squared moduli sum to
     1 within 1e-9. ``theta1``/``theta2`` record the per-bin phase gauge used
@@ -122,7 +122,6 @@ class ProbabilityWave:
     are metadata only and never enter the arithmetic).
     """
 
-    space: OutcomeSpace
     amplitudes: np.ndarray
     theta1: np.ndarray
     theta2: np.ndarray
@@ -153,7 +152,6 @@ class ProbabilityWave:
     def with_global_phase(self, alpha: float) -> ProbabilityWave:
         """Multiply every amplitude by ``e^{i*alpha}``; observables unchanged."""
         return ProbabilityWave(
-            self.space,
             self.amplitudes * cmath.exp(1j * alpha),
             self.theta1 + alpha,
             self.theta2 + alpha,
@@ -162,7 +160,6 @@ class ProbabilityWave:
 
 
 def synthesize_two_slit_wave(
-    space: OutcomeSpace,
     p1,
     p2,
     theta,
@@ -170,8 +167,8 @@ def synthesize_two_slit_wave(
 ) -> ProbabilityWave:
     """Superposed wave for a symmetric two-branch arrangement.
 
-    ``p1``, ``p2`` and ``theta`` are per-bin sequences aligned with
-    ``space.bins``; the branch weights are the symmetric ``(1/2, 1/2)``
+    ``p1``, ``p2`` and ``theta`` are per-bin sequences of one length, one
+    entry per bin; the branch weights are the symmetric ``(1/2, 1/2)``
     of a source placed symmetrically with respect to the two openings.
     The amplitude at each bin is
 
@@ -188,15 +185,14 @@ def synthesize_two_slit_wave(
     if not 0.0 < h < math.inf:
         raise ValueError(f"scaling factor must be positive and finite, got {h!r}")
     p1, p2, theta = (np.asarray(v, float) for v in (p1, p2, theta))
-    n = len(space.bins)
-    if not p1.shape == p2.shape == theta.shape == (n,):
+    if not (p1.shape == p2.shape == theta.shape and theta.ndim == 1):
         raise ValueError(
-            f"per-bin inputs must match the {n} bins: got {p1.shape}, {p2.shape}, {theta.shape}"
+            f"per-bin inputs must be 1-D and of one length: got {p1.shape}, {p2.shape}, {theta.shape}"
         )
     if not (np.isfinite(theta).all() and all(((0.0 <= p) & (p < math.inf)).all() for p in (p1, p2))):
         raise ValueError("per-bin probabilities must be finite and nonnegative, and phases finite")
     amplitudes = (np.sqrt(p1) * np.exp(1j * theta) + np.sqrt(p2)) / math.sqrt(2.0)
-    wave = ProbabilityWave(space, amplitudes, theta, np.zeros(n), h)
+    wave = ProbabilityWave(amplitudes, theta, np.zeros(len(theta)), h)
     defect = wave.normalization_defect()
     if not defect <= DISTRIBUTION_SUM_TOL:  # a NaN defect fails too
         raise NormalizationError(

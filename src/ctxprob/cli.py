@@ -32,7 +32,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import re
 import stat
@@ -49,7 +48,7 @@ import numpy as np
 from . import __version__
 from .errors import ContextualError, ScenarioError
 from .core import EnsembleCounts
-from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS
+from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS, check_tolerance
 from .twoslit import (
     CONTEXT_IDS,
     ExperimentReport,
@@ -717,10 +716,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+    try:
+        return check_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _workers(text: str) -> int:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ZeroEnsemble
 
 #: Absolute tolerance on the sum of an exact distribution: a context's
@@ -33,6 +35,14 @@ DISTRIBUTION_SUM_TOL = 1e-9
 
 #: Absolute tolerance on ``c1 + c2 - 1`` for exact splitting coefficients.
 EXACT_COEFF_TOL = 1e-12
+
+
+def ordered_sum(values) -> float:
+    """The floats ``values`` added left to right, quietly to inf or NaN, as the builtin ``sum``
+    adds them before Python 3.12; from 3.12 on ``sum`` compensates rounding, so its totals
+    and the texts printed from them would depend on the interpreter."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.cumsum(values, dtype=float)[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,43 +153,23 @@ def validate_space(space: OutcomeSpace) -> list[Violation]:
     return out
 
 
-def validate_coverage(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
-    """Check that a distribution assigns a probability to exactly the declared bins."""
+def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
+    """Check that a distribution assigns a probability in [0, 1] to exactly the declared bins,
+    and that they sum to 1."""
     out: list[Violation] = []
     declared = set(space.bins)
     keys = set(dist.probs)
     for missing in sorted(declared - keys):
-        out.append(
-            Violation(
-                "distribution.covers_space",
-                f"context {dist.context_id!r} has no probability for bin {missing!r}",
-                bin=missing,
-            )
-        )
+        message = f"context {dist.context_id!r} has no probability for bin {missing!r}"
+        out.append(Violation("distribution.covers_space", message, bin=missing))
     for extra in sorted(keys - declared):
-        out.append(
-            Violation(
-                "distribution.covers_space",
-                f"context {dist.context_id!r} assigns probability to undeclared bin {extra!r}",
-                bin=extra,
-            )
-        )
-    return out
-
-
-def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
-    out = validate_coverage(dist, space)
+        message = f"context {dist.context_id!r} assigns probability to undeclared bin {extra!r}"
+        out.append(Violation("distribution.covers_space", message, bin=extra))
     for label, p in dist.probs.items():
         if not (0.0 <= p <= 1.0):
-            out.append(
-                Violation(
-                    "distribution.range",
-                    f"context {dist.context_id!r} probability {p!r} is outside [0, 1]",
-                    value=p,
-                    bin=label,
-                )
-            )
-    total = sum(dist.probs[label] for label in space.bins if label in dist.probs)
+            message = f"context {dist.context_id!r} probability {p!r} is outside [0, 1]"
+            out.append(Violation("distribution.range", message, value=p, bin=label))
+    total = ordered_sum([dist.probs[label] for label in space.bins if label in dist.probs])
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
         out.append(
             Violation(
@@ -187,25 +177,6 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
                 f"context {dist.context_id!r} probabilities sum to {total!r}, "
                 f"not 1 within {DISTRIBUTION_SUM_TOL}",
                 value=total,
-            )
-        )
-    return out
-
-
-def validate_coefficients(coeffs: SplittingCoefficients) -> list[Violation]:
-    out: list[Violation] = []
-    for name, c in (("c1", coeffs.c1), ("c2", coeffs.c2)):
-        if not math.isfinite(c):  # NaN compares False, so the checks below pass it
-            out.append(Violation("coefficients.finite", f"{name} = {c!r} is not finite", value=c))
-        elif c < 0.0:
-            out.append(Violation("coefficients.nonnegative", f"{name} = {c!r} is negative", value=c))
-    if not coeffs.empirical and coeffs.deviation > EXACT_COEFF_TOL:
-        out.append(
-            Violation(
-                "coefficients.alternative_condition",
-                f"c1 + c2 = {coeffs.c1 + coeffs.c2!r} violates the statistical alternative "
-                f"condition (must be 1 within {EXACT_COEFF_TOL} for exact models)",
-                value=coeffs.c1 + coeffs.c2,
             )
         )
     return out
@@ -221,7 +192,21 @@ def validate_model(model: ContextualModel) -> list[Violation]:
     out = validate_space(model.space)
     for dist in (model.dist_s, model.dist_s1, model.dist_s2):
         out.extend(validate_distribution(dist, model.space))
-    out.extend(validate_coefficients(model.coeffs))
+    coeffs = model.coeffs
+    for name, c in (("c1", coeffs.c1), ("c2", coeffs.c2)):
+        if not math.isfinite(c):  # NaN compares False, so the checks below pass it
+            out.append(Violation("coefficients.finite", f"{name} = {c!r} is not finite", value=c))
+        elif c < 0.0:
+            out.append(Violation("coefficients.nonnegative", f"{name} = {c!r} is negative", value=c))
+    if not coeffs.empirical and coeffs.deviation > EXACT_COEFF_TOL:
+        out.append(
+            Violation(
+                "coefficients.alternative_condition",
+                f"c1 + c2 = {coeffs.c1 + coeffs.c2!r} violates the statistical alternative "
+                f"condition (must be 1 within {EXACT_COEFF_TOL} for exact models)",
+                value=coeffs.c1 + coeffs.c2,
+            )
+        )
     return out
 
 

@@ -27,7 +27,8 @@ consistent with the decomposition identity above.
 
 The scalar functions define the calculus for one bin; whole models run on
 one vectorized kernel, :func:`decompose_arrays`, over arrays indexed by bin
-position. Bin labels are mapped to positions by its callers.
+position. Bin labels are mapped to positions by its callers, which check
+each input where it enters, so the kernel does not check distributions again.
 
 Everything here is a pure function over immutable inputs and may be called
 concurrently without restriction.
@@ -40,14 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (
-    DISTRIBUTION_SUM_TOL,
-    ContextualModel,
-    SplittingCoefficients,
-    validate_coefficients,
-    validate_coverage,
-    validate_space,
-)
+from .core import ContextualModel, SplittingCoefficients, validate_model
 from .errors import ConsistencyError, DegenerateBranch, OutOfRange
 
 #: Default half-width of the band around ``|lambda| = 1`` classified Boundary.
@@ -185,6 +179,13 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     return delta / (2.0 * math.sqrt(w1 * w2))
 
 
+def check_tolerance(tol: float) -> float:
+    """``tol`` if it is a finite, positive classification tolerance; ``ValueError`` if not."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"classification tolerance must be finite and positive, got {tol!r}")
+    return tol
+
+
 def classify(lam: float, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceKind:
     """Classify a normalized transition coefficient and recover its phase.
 
@@ -194,8 +195,7 @@ def classify(lam: float, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceKind:
     because magnitude exactly 1 belongs to both regimes, so no arbitrary
     branch is picked.
     """
-    if not tol > 0.0:
-        raise ValueError(f"classification tolerance must be positive, got {tol!r}")
+    check_tolerance(tol)
     if math.isnan(lam):
         raise ValueError("cannot classify a NaN coefficient")
     mag = abs(lam)
@@ -241,17 +241,6 @@ def forward_hyp(
     return value
 
 
-def _check_distribution(context: str, p: np.ndarray) -> None:
-    outside = int(np.count_nonzero(~((p >= 0.0) & (p <= 1.0))))
-    total = float(p.sum())
-    if outside or abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
-        raise ValueError(
-            f"cannot decompose an invalid model: context {context!r} has {outside} "
-            f"probabilities outside [0, 1] and sums to {total!r} (must be 1 within "
-            f"{DISTRIBUTION_SUM_TOL})"
-        )
-
-
 def decompose_arrays(
     coeffs: SplittingCoefficients,
     p_s: np.ndarray,
@@ -268,7 +257,8 @@ def decompose_arrays(
     phases come from ``math.acos``/``math.acosh``, which numpy's SIMD
     versions do not always match in the last bit. Bins where ``c1*p1`` or
     ``c2*p2`` vanishes get the code :data:`DEGENERATE`. Exact and empirical
-    coefficients are both accepted; the caller validates them.
+    coefficients are both accepted; the caller validates them and the three
+    distributions (in [0, 1], summing to 1), which are not checked here again.
 
     Given the detected totals ``(N, N1, N2)`` behind the probabilities, it
     also computes first-order binomial standard errors of lambda and theta
@@ -276,15 +266,11 @@ def decompose_arrays(
     mixture ``|pS - (c1*p1 + c2*p2)|`` in standard-error units.
 
     Raises:
-        ValueError: if ``tol`` is not positive, or a distribution is not
-            within [0, 1] and normalized.
+        ValueError: if ``tol`` is not finite and positive.
         ConsistencyError: if delta differs from ``pS - (c1*p1 + c2*p2)`` by
             more than ``1e-12 + |c1 + c2 - 1| * pS`` on some bin.
     """
-    if not tol > 0.0:
-        raise ValueError(f"classification tolerance must be positive, got {tol!r}")
-    for context, p in (("S", p_s), ("S1", p1), ("S2", p2)):
-        _check_distribution(context, p)
+    check_tolerance(tol)
     classical = total_probability(coeffs, p1, p2)
     delta = perturbation_delta(coeffs, p_s, p1, p2)
     residual = p_s - classical
@@ -340,13 +326,14 @@ def decompose_arrays(
 
 
 def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> DecompositionTable:
-    """Per-bin interference decomposition of a validated contextual model.
+    """Per-bin interference decomposition of a contextual model, validated first.
 
-    The table's columns follow ``model.space.bins``. Each bin yields the classical mixture part, the perturbation, the
-    normalized coefficient and its classification. Bins where a weighted
-    branch probability vanishes are marked :data:`DEGENERATE` instead of
-    aborting the whole decomposition; real envelopes vanish in their tails
-    and whole-screen analysis must survive that.
+    The table's columns follow ``model.space.bins``. Each bin yields the
+    classical mixture part, the perturbation, the normalized coefficient and
+    its classification. Bins where a weighted branch probability vanishes
+    are marked :data:`DEGENERATE` instead of aborting the whole
+    decomposition; real envelopes vanish in their tails and whole-screen
+    analysis must survive that.
 
     For models with exact coefficients the reconstruction identity
     ``classical_part + 2*sqrt(c1*p1*c2*p2)*lambda = pS`` holds within 1e-12
@@ -354,16 +341,11 @@ def decompose(model: ContextualModel, tol: float = DEFAULT_CLASSIFY_TOL) -> Deco
     by ``|c1 + c2 - 1| * pS``.
 
     Raises:
-        ValueError: if the model fails validation.
+        ValueError: listing the violations that ``validate_model`` finds.
     """
+    if violations := validate_model(model):
+        raise ValueError("cannot decompose an invalid model: " + "; ".join(map(str, violations)))
     space = model.space
     dists = (model.dist_s, model.dist_s1, model.dist_s2)
-    violations = validate_space(space) + validate_coefficients(model.coeffs)
-    for dist in dists:
-        violations.extend(validate_coverage(dist, space))
-    if violations:
-        raise ValueError(
-            "cannot decompose an invalid model: " + "; ".join(str(v) for v in violations)
-        )
     columns = [np.fromiter((d.probs[b] for b in space.bins), float, len(space)) for d in dists]
     return decompose_arrays(model.coeffs, *columns, tol)

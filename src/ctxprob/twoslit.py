@@ -45,6 +45,7 @@ from .core import (
     OutcomeSpace,
     SplittingCoefficients,
     Violation,
+    ordered_sum,
     splitting_from_totals,
 )
 from .errors import ScenarioError, ZeroEnsemble
@@ -86,9 +87,6 @@ class GridSpec:
 
     def labels(self) -> tuple[str, ...]:
         return position_labels(self.midpoints())
-
-    def outcome_space(self) -> OutcomeSpace:
-        return OutcomeSpace(self.labels())
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -180,7 +178,7 @@ def table_envelope(values) -> np.ndarray:
     v = [float(p) for p in values]
     if any(p < 0.0 for p in v):
         raise ValueError("table envelope has negative entries")
-    total = sum(v)
+    total = ordered_sum(v)
     if total <= 0.0:
         raise ValueError("table envelope sums to zero")
     if total == math.inf:  # NaN weights are left to validate_scenario's finiteness check
@@ -221,7 +219,7 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
             continue
         if (env < 0.0).any():
             out.append(Violation(f"{name}.nonnegative", "envelope has negative entries"))
-        total = sum(env.tolist())  # in order, so the decision and the printed total stay put
+        total = ordered_sum(env)
         if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
             message = f"envelope sums to {total!r}, not 1 within {DISTRIBUTION_SUM_TOL}"
             out.append(Violation(f"{name}.normalized", message, value=total))
@@ -444,7 +442,8 @@ def decompose_empirical(
     Raises:
         ZeroEnsemble: if any context detected nothing.
         ValueError: if a histogram's bins differ from ``space``, a count is
-            negative, or a histogram totals 2**63 or more.
+            not an ``int >= 0`` (a bool, a float or a numpy integer is not),
+            or a histogram totals 2**63 or more.
     """
     ensembles, bins = (counts_s, counts_s1, counts_s2), set(space.bins)
     for c in ensembles:
@@ -453,6 +452,9 @@ def decompose_empirical(
                 f"context {c.context_id!r} counts do not cover the outcome space exactly "
                 f"(first differences: {sorted(bins ^ c.counts.keys())[:5]})"
             )
+        if not set(map(type, c.counts.values())) <= {int} or min(c.counts.values(), default=0) < 0:
+            label, n = next((b, n) for b, n in c.counts.items() if type(n) is not int or n < 0)
+            raise ValueError(f"context {c.context_id!r} bin {label!r}: count {n!r} is not an int >= 0")
         if c.total_detected >= 2**63:  # the totals are int64
             raise ValueError(f"context {c.context_id!r} counts total 2**63 or more")
     n = len(space.bins)
@@ -473,9 +475,12 @@ def run_experiment(
     integer sum, the report is identical for any worker count and scheduling.
 
     Raises:
+        ValueError: if ``workers`` is not an ``int >= 1`` (a bool is not).
         ZeroEnsemble: if a context ends up with no detected systems
             (for example ``n_emitted = 0``, which draws nothing).
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     distributions, raw_total = _distributions(scenario)
     if scenario.n_emitted == 0:
         raise ZeroEnsemble("pooled context has zero detected systems")

@@ -182,7 +182,7 @@ class TestTwoSlitWave:
     def test_quarter_phase_gives_envelope_back(self):
         grid = GridSpec(32, -1.0, 1.0)
         env = uniform_envelope(grid)
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, [math.pi / 2] * 32)
+        wave = synthesize_two_slit_wave(env, env, [math.pi / 2] * 32)
         born = wave.born_probabilities()
         for i, p in enumerate(env):
             assert born[i] == pytest.approx(p, abs=1e-15)
@@ -193,7 +193,7 @@ class TestTwoSlitWave:
         x = grid.midpoints()
         k = 9.7
         theta = k * x
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
+        wave = synthesize_two_slit_wave(env, env, theta)
         born = wave.born_probabilities()
         # Normalized fringe factor, 0 at phase pi (mod 2 pi), 2 at phase 0.
         fringe = born / env
@@ -209,7 +209,7 @@ class TestTwoSlitWave:
         x = grid.midpoints()
         mom1, mom2, h = 6.2, -3.5, 1.0
         theta = (mom1 - mom2) * x / h
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta, h=h)
+        wave = synthesize_two_slit_wave(env, env, theta, h=h)
         # Same superposition built from per-branch plane-wave phases.
         inv = 1.0 / math.sqrt(2.0)
         for i in range(grid.bins):
@@ -224,7 +224,7 @@ class TestTwoSlitWave:
         env = gaussian_envelope(grid, 0.0, 1.0)
         theta = 0.5 * grid.midpoints()  # slow phase: cosine term keeps a large sum
         with pytest.raises(NormalizationError):
-            synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
+            synthesize_two_slit_wave(env, env, theta)
 
     def test_born_modulus_is_the_simulated_pattern(self):
         # The classical ensemble's pooled pattern is the Born modulus of the
@@ -232,18 +232,18 @@ class TestTwoSlitWave:
         grid = GridSpec(256, -4.0, 4.0)
         env = gaussian_envelope(grid, 0.0, 1.0)
         scenario = TwoSlitScenario(grid, env, env, FreeWavePhase(2.5, -2.5, 1.0), n_emitted=10**6)
-        space, theta = grid.outcome_space(), scenario.phase_table()
+        theta = scenario.phase_table()
         with pytest.raises(NormalizationError):  # the raw pattern sums to 1 + 2.2e-5
-            synthesize_two_slit_wave(space, env, env, theta)
+            synthesize_two_slit_wave(env, env, theta)
         n = pattern_normalization(scenario)
-        wave = synthesize_two_slit_wave(space, env / n, env / n, theta)
+        wave = synthesize_two_slit_wave(env / n, env / n, theta)
         pattern = _distributions(scenario)[0][0]
         assert np.abs(wave.born_probabilities() - pattern).max() <= 1e-12
 
     def test_global_phase_invariance(self):
         grid = GridSpec(16, -1.0, 1.0)
         env = uniform_envelope(grid)
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, [math.pi / 2] * 16)
+        wave = synthesize_two_slit_wave(env, env, [math.pi / 2] * 16)
         for alpha in (0.1, 1.7, -2.9):
             moved = wave.with_global_phase(alpha).born_probabilities()
             base = wave.born_probabilities()
@@ -254,7 +254,7 @@ class TestTwoSlitWave:
         grid = GridSpec(8, 0.0, 1.0)
         env = uniform_envelope(grid)
         theta = [math.pi / 2] * 8
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta, h=2.0)
+        wave = synthesize_two_slit_wave(env, env, theta, h=2.0)
         assert wave.theta2.tolist() == [0.0] * 8
         assert wave.theta1.tolist() == theta
         assert wave.scaling == 2.0
@@ -264,7 +264,7 @@ class TestTwoSlitWave:
     def test_fields_are_read_only_arrays(self):
         grid = GridSpec(8, 0.0, 1.0)
         env = uniform_envelope(grid)
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, [math.pi / 2] * 8)
+        wave = synthesize_two_slit_wave(env, env, [math.pi / 2] * 8)
         for w in (wave, wave.with_global_phase(0.3)):
             assert w.amplitudes.dtype == np.complex128
             assert w.theta1.dtype == w.theta2.dtype == np.float64
@@ -276,15 +276,17 @@ class TestTwoSlitWave:
         grid = GridSpec(8, 0.0, 1.0)
         env = uniform_envelope(grid)
         theta = np.full(8, math.pi / 2)
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
-        assert wave == synthesize_two_slit_wave(grid.outcome_space(), list(env), list(env), list(theta))
+        wave = synthesize_two_slit_wave(env, env, theta)
+        assert wave == synthesize_two_slit_wave(list(env), list(env), list(theta))
         assert wave != wave.with_global_phase(0.3)
 
     def test_length_mismatch_rejected(self):
         grid = GridSpec(8, 0.0, 1.0)
         env = uniform_envelope(grid)
         with pytest.raises(ValueError, match="per-bin"):
-            synthesize_two_slit_wave(grid.outcome_space(), env, env, [0.0] * 7)
+            synthesize_two_slit_wave(env, env, [0.0] * 7)
+        with pytest.raises(ValueError, match="per-bin"):  # one length, but not 1-D
+            synthesize_two_slit_wave([env], [env], [[0.0] * 8])
 
     @pytest.mark.parametrize("field, value", [
         ("p1", math.nan), ("p2", math.inf), ("p1", -0.125), ("theta", math.nan), ("theta", -math.inf),
@@ -292,17 +294,16 @@ class TestTwoSlitWave:
     ])
     def test_non_finite_and_negative_inputs_rejected(self, field, value):
         # Unchecked, a NaN gives an all-NaN wave, and a NaN defect passes `defect > 1e-9`.
-        grid = GridSpec(8, 0.0, 1.0)
         args = {"p1": [0.125] * 8, "p2": [0.125] * 8, "theta": [math.pi / 2] * 8, "h": 1.0}
         args[field] = value if field == "h" else [value] + args[field][1:]
         with pytest.raises(ValueError, match="finite"):
-            synthesize_two_slit_wave(grid.outcome_space(), **args)
+            synthesize_two_slit_wave(**args)
 
     def test_wave_invariants(self):
         grid = GridSpec(256, -7.0, 7.0)
         env = gaussian_envelope(grid, 0.0, 1.0)
         theta = 9.7 * grid.midpoints()
-        wave = synthesize_two_slit_wave(grid.outcome_space(), env, env, theta)
+        wave = synthesize_two_slit_wave(env, env, theta)
         born = wave.born_probabilities()
         assert ((0.0 <= born) & (born <= 1.0)).all()
         assert wave.normalization_defect() <= 1e-9

@@ -1,5 +1,8 @@
+import functools
 import math
+import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +17,7 @@ from ctxprob import (
     estimate_splitting,
     validate_model,
 )
-from ctxprob.core import validate_space
+from ctxprob.core import ordered_sum, validate_space
 
 
 def three_bin_model(c1=0.5, c2=0.5, p_s1_a=0.2):
@@ -168,3 +171,20 @@ class TestEmpiricalDistribution:
     def test_sums_to_one(self, raw):
         dist = empirical_distribution(counts("S", **raw))
         assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestOrderedSum:
+    def test_pinned_sum_of_ten_tenths(self):
+        # The builtin sum gives 1.0 here from Python 3.12 on.
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum(np.full(10, 0.1)) == 0.9999999999999999
+
+    def test_empty_sum_is_zero(self):
+        assert ordered_sum([]) == 0.0
+
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=200))
+    def test_adds_left_to_right(self, values):
+        expected = functools.reduce(operator.add, values)
+        total = ordered_sum(values)
+        assert total == expected or (math.isnan(total) and math.isnan(expected))
+        assert ordered_sum(np.array(values)) == total or math.isnan(total)

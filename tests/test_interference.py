@@ -29,6 +29,7 @@ from ctxprob.interference import (
     DEGENERATE,
     HYPERBOLIC,
     TRIGONOMETRIC,
+    check_tolerance,
     decompose_arrays,
 )
 
@@ -123,6 +124,13 @@ class TestClassify:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             classify(0.5, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_one_tolerance_rule_for_classify_and_the_kernel(self, tol):
+        p = np.array([0.5, 0.5])
+        for check in (check_tolerance, lambda t: classify(0.5, t), lambda t: decompose_arrays(HALF, p, p, p, t)):
+            with pytest.raises(ValueError, match="classification tolerance must be finite and positive"):
+                check(tol)
 
     @pytest.mark.parametrize("make", [
         lambda: classify(0.5, tol=math.nan),
@@ -317,7 +325,7 @@ class TestDecompose:
         p_s = [forward_trig(c, e, e, t) for e, t in zip(env, theta)]
         labels = grid.labels()
         model = ContextualModel(
-            grid.outcome_space(),
+            OutcomeSpace(labels),
             ContextualDistribution("S", dict(zip(labels, p_s))),
             ContextualDistribution("S1", dict(zip(labels, env))),
             ContextualDistribution("S2", dict(zip(labels, env))),
@@ -345,6 +353,28 @@ class TestDecompose:
         ok = ContextualDistribution("S1", {"u": 0.5, "v": 0.5})
         with pytest.raises(ValueError, match="invalid model"):
             decompose(ContextualModel(space, bad, ok, ok, HALF))
+
+    def test_rejects_a_distribution_that_is_not_normalized(self):
+        space = OutcomeSpace(("u", "v"))
+        ok = ContextualDistribution("S1", {"u": 0.5, "v": 0.5})
+        bad = ContextualDistribution("S", {"u": 0.5, "v": 0.6})
+        with pytest.raises(ValueError) as exc:
+            decompose(ContextualModel(space, bad, ok, ok, HALF))
+        message = str(exc.value)
+        assert message.startswith("cannot decompose an invalid model: distribution.normalized: ")
+        assert "context 'S' probabilities sum to 1.1" in message
+
+    def test_lists_every_out_of_range_probability(self):
+        space = OutcomeSpace(("u", "v"))
+        ok = ContextualDistribution("S", {"u": 0.5, "v": 0.5})
+        bad = ContextualDistribution("S2", {"u": -0.25, "v": 1.25})  # sums to 1
+        with pytest.raises(ValueError) as exc:
+            decompose(ContextualModel(space, ok, ok, bad, HALF))
+        assert str(exc.value) == (
+            "cannot decompose an invalid model: "
+            "distribution.range [bin u]: context 'S2' probability -0.25 is outside [0, 1]; "
+            "distribution.range [bin v]: context 'S2' probability 1.25 is outside [0, 1]"
+        )
 
     def test_kind_magnitude_invariant(self):
         for lam in (-1.2, -0.99, -0.5, 0.0, 0.5, 0.99, 1.2):
@@ -397,11 +427,6 @@ class TestDecomposeArrays:
             else:
                 assert table.kind[i] == BOUNDARY and math.isnan(table.theta[i])
                 assert table.sign[i] == 0
-
-    def test_rejects_a_distribution_that_is_not_normalized(self):
-        p = np.array([0.5, 0.6])
-        with pytest.raises(ValueError, match="invalid model"):
-            decompose_arrays(HALF, p, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
     def test_tolerance_must_be_positive(self):
         p = np.array([0.5, 0.5])

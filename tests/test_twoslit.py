@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import math
+import operator
 import os
+import re
 import time
 import tracemalloc
 
@@ -134,6 +137,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="finite"):
             gaussian_envelope(GridSpec(8, -1.0, 1.0), mean, sigma)
 
+    def test_table_envelope_sums_left_to_right(self):
+        # The builtin sum gives 1.0 here from Python 3.12 on, 0.9999999999999999 before.
+        assert table_envelope([0.1] * 10).tolist() == [0.1 / 0.9999999999999999] * 10
+        assert table_envelope([0.1] * 10)[0] == 0.10000000000000002
+
     def test_table_envelope_rejects_bad_weights(self):
         with pytest.raises(ValueError, match="negative"):
             table_envelope([0.5, -0.1, 0.6])
@@ -149,7 +157,7 @@ class TestScenarioValidation:
         expected = {  # each builder's values as tuples of Python floats
             "gaussian": tuple(float(p) for p in v / float(v.sum())),
             "uniform": (1.0 / grid.bins,) * grid.bins,
-            "table": tuple(p / sum(weights) for p in weights),
+            "table": tuple(p / functools.reduce(operator.add, weights) for p in weights),
         }
         built = {
             "gaussian": gaussian_envelope(grid, 0.3, 1.3),
@@ -374,6 +382,19 @@ class TestRunExperiment:
         assert report.counts_s.total_emitted == 3000
         assert report.counts_s.total_detected == 3000
 
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, "2", None, True, False, np.int64(2)])
+    def test_workers_must_be_an_int_of_at_least_one(self, workers):
+        sc = dataclasses.replace(gaussian_scenario(), runs=MAX_RUNS)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^workers must be an int >= 1, got {re.escape(repr(workers))}$"):
+            run_experiment(sc, workers=workers)
+        assert time.perf_counter() - start < 0.5  # checked before any pair is drawn
+
+    def test_infinite_tolerance_is_rejected(self):
+        # Unchecked, every bin with a lambda is classified boundary.
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_experiment(gaussian_scenario(bins=16, n_emitted=1000), tol=math.inf)
+
     def test_zero_emissions_raises(self):
         sc = dataclasses.replace(gaussian_scenario(), n_emitted=0, runs=MAX_RUNS)
         start = time.perf_counter()
@@ -546,6 +567,24 @@ class TestReportShape:
         huge = EnsembleCounts("S", counts, 0)
         with pytest.raises(ValueError, match="context 'S' counts total 2\\*\\*63 or more"):
             decompose_empirical(space, huge, fine, fine)
+
+    @pytest.mark.parametrize("context", [0, 1, 2])
+    @pytest.mark.parametrize("counts, label, count", [
+        ({"a": 1.5, "b": 3}, "a", 1.5),
+        ({"a": 3, "b": True}, "b", True),
+        ({"a": "3", "b": 3}, "a", "'3'"),
+        ({"a": -1, "b": 1}, "a", -1),  # a total of 0
+        ({"a": 5, "b": -1}, "b", -1),  # a positive total
+        ({"a": 3, "b": math.nan}, "b", "nan"),
+    ])
+    def test_counts_must_be_ints_of_at_least_zero(self, context, counts, label, count):
+        space = OutcomeSpace(("a", "b"))
+        ensembles = [EnsembleCounts(which, {"a": 3, "b": 5}, 10) for which in ("S", "S1", "S2")]
+        which = ensembles[context].context_id
+        ensembles[context] = EnsembleCounts(which, counts, 10)
+        message = f"context '{which}' bin '{label}': count {count} is not an int >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decompose_empirical(space, *ensembles)
 
     def test_invalid_scenario_raises_scenario_error(self):
         sc = dataclasses.replace(gaussian_scenario(), runs=0)
