@@ -113,7 +113,7 @@ def synthesize_wave(
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityWave:
-    """Complex amplitudes over the bins of an outcome space, as read-only arrays of one length.
+    """Complex amplitudes over the bins of an outcome space, as read-only 1-D arrays of one length.
 
     Contract: every ``|amp|^2`` lies in [0, 1] and the squared moduli sum to
     1 within 1e-9. ``theta1``/``theta2`` record the per-bin phase gauge used
@@ -130,6 +130,9 @@ class ProbabilityWave:
     def __post_init__(self) -> None:
         for name, dtype in (("amplitudes", complex), ("theta1", float), ("theta2", float)):
             object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+        shapes = self.amplitudes.shape, self.theta1.shape, self.theta2.shape
+        if not shapes[0] == shapes[1] == shapes[2] or len(shapes[0]) != 1:
+            raise ValueError(f"amplitudes, theta1 and theta2 must be 1-D and of one length: got {shapes}")
 
     __eq__ = same_fields
 

@@ -83,28 +83,23 @@ ANALYZE_HEADER = [
 fmt15 = "%.15g".__mod__
 
 
-def _texts(values: np.ndarray, fmt, nan: str) -> tuple[str, ...]:
-    """``fmt`` of each value of a 1-D float64 (or int64) array, with ``nan`` for NaN.
-
-    Each distinct bit pattern is formatted once (a column of counts or counts /
-    N, or a symmetric envelope, repeats its values). A tuple of str is one object the
-    garbage collector stops tracking, so it is not traversed again while a
-    caller builds rows from it.
-    """
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(values.dtype)
-    texts = np.array(list(map(fmt, distinct.tolist())), dtype=object)
-    texts[np.isnan(distinct)] = nan
-    return tuple(texts[index].tolist())
-
-
-def _reused_texts(columns: Sequence[np.ndarray], texts_of) -> list[Sequence[str]]:
-    """``texts_of`` each float64 column, or the texts of an earlier one equal to it bit for bit."""
-    bits, texts = [c.view(np.int64) for c in columns], []
+def _texts(columns: Sequence[np.ndarray], fmt, nan: str) -> list[tuple[str, ...]]:
+    """A tuple of texts per 1-D float64 (or int64) column: ``fmt`` of each value, ``nan`` for NaN.
+    Each distinct bit pattern of a column is formatted once (counts and counts / N repeat their
+    values), and a column equal bit for bit to an earlier one (a symmetric envelope) reuses its
+    texts. A tuple of str is one object the garbage collector stops tracking, so it is not
+    traversed again while a caller builds rows."""
+    bits, out = [c.view(np.int64) for c in columns], []
     for column, b in zip(columns, bits):
-        same = [t for a, t in zip(bits, texts) if np.array_equal(a, b)]
-        texts.append(same[0] if same else texts_of(column))
-    return texts
+        same = next((t for a, t in zip(bits, out) if np.array_equal(a, b)), None)
+        if same is None:
+            distinct, index = np.unique(b, return_inverse=True)
+            distinct = distinct.view(column.dtype)
+            texts = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+            texts[np.isnan(distinct)] = nan
+            same = tuple(texts[index].tolist())
+        out.append(same)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +278,15 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
             "h": scenario.phase.scaling,
         }
     phase["theta"] = scenario.phase_table()
-    envelopes = _reused_texts((scenario.envelope1, scenario.envelope2), lambda e: JsonColumn(_column(e)))
+    envelopes = _texts([_floats(scenario.envelope1), _floats(scenario.envelope2)], repr, "null")
     return {
         "grid": {
             "bins": scenario.grid.bins,
             "x_min": scenario.grid.x_min,
             "x_max": scenario.grid.x_max,
         },
-        "envelope1": envelopes[0],
-        "envelope2": envelopes[1],
+        "envelope1": JsonColumn(envelopes[0]),
+        "envelope2": JsonColumn(envelopes[1]),
         "phase": phase,
         "sampling": {
             "n_emitted": scenario.n_emitted,
@@ -390,21 +385,22 @@ def report_document(report: ExperimentReport) -> dict:
     }
 
 
-def _column(values) -> Sequence[str]:
-    """The JSON text of each value of a column: a :class:`JsonColumn` is text already, a 1-D
-    float64 array's NaN is ``null`` and its +-inf raises json's ``ValueError``, and anything
-    else raises json's ``TypeError``."""
-    if type(values) is JsonColumn:
-        return values
+def _floats(values) -> np.ndarray:
+    """``values`` if a 1-D float64 array with no +-inf, else json's ``TypeError`` or ``ValueError``."""
     if type(values) is not np.ndarray or values.dtype != float or values.ndim != 1:
         raise TypeError(f"Object of type {type(values).__name__} is not JSON serializable")
     infinite = values[np.isinf(values)]
     if len(infinite):  # json's own error, which names the value when indenting
         json.dumps(infinite[0].item(), indent=2, allow_nan=False)
-    return _texts(values, repr, "null")
+    return values
 
 
-#: Records of a :class:`RecordColumns` node rendered per chunk of text.
+def _column(values) -> Sequence[str]:
+    """The JSON texts of a column: a :class:`JsonColumn`'s own, or a :func:`_floats` array's (NaN as ``null``)."""
+    return values if type(values) is JsonColumn else _texts([_floats(values)], repr, "null")[0]
+
+
+#: Entries of every per-bin list (records, a column's values, counts, CSV lines) per chunk of text.
 BLOCK_ROWS = 4096
 
 
@@ -442,14 +438,21 @@ def _render(value, pad: str) -> Iterator[str]:
         yield from _record_rows(value, pad)
     elif value is None or kind in (str, int, float, bool):
         yield json.dumps(value, indent=2, allow_nan=False)
-    elif kind is JsonCounts:  # one chunk of pieces, not a string per entry
-        pieces = [",\n" + inner, None, ": ", None] * len(value.row) + ["\n" + pad + "}"]
-        pieces[1::4], pieces[3::4] = value.texts, _texts(value.row, int.__repr__, "")
-        pieces[0] = "{\n" + inner
-        yield "".join(pieces) if len(value.row) else "{}"
-    else:  # a column's list: _column raises on any other value
-        texts, comma = _column(value), ",\n" + inner
-        yield from ("[\n" + inner, comma.join(texts), "\n" + pad + "]") if len(texts) else ["[]"]
+    elif kind is JsonCounts:  # a chunk of pieces per block, not a string per entry
+        for start in range(0, len(value.row), BLOCK_ROWS):
+            [texts] = _texts([value.row[start:start + BLOCK_ROWS]], int.__repr__, "")
+            pieces = [",\n" + inner, None, ": ", None] * len(texts)
+            pieces[1::4], pieces[3::4] = value.texts[start:start + BLOCK_ROWS], texts
+            pieces[0] = ("," if start else "{") + "\n" + inner
+            yield "".join(pieces)
+        yield "\n" + pad + "}" if len(value.row) else "{}"
+    else:  # a column's list
+        if type(value) is not JsonColumn:
+            _floats(value)  # json's errors for any other value, before the first chunk
+        for start in range(0, len(value), BLOCK_ROWS):
+            yield ("," if start else "[") + "\n" + inner
+            yield (",\n" + inner).join(_column(value[start:start + BLOCK_ROWS]))
+        yield "\n" + pad + "]" if len(value) else "[]"
 
 
 def render_json(doc: dict) -> str:
@@ -493,7 +496,7 @@ def pattern_rows(scenario: TwoSlitScenario) -> list[list[str]]:
         scenario.grid.midpoints(), p1, p2, theta, 0.5 * (p1 + p2),
         interference_pattern(p1, p2, theta),
     )
-    return list(map(list, zip(*_reused_texts(columns, lambda column: _texts(column, fmt15, "nan")))))
+    return list(map(list, zip(*_texts(columns, fmt15, "nan"))))
 
 
 def analyze_lines(report: ExperimentReport) -> list[str]:
@@ -505,9 +508,8 @@ def analyze_lines(report: ExperimentReport) -> list[str]:
     labels, special = report.labels, re.compile(r'[,"\r\n]')
     if special.search("".join(labels)):  # one scan of all labels; quote as csv.QUOTE_MINIMAL does
         labels = ['"%s"' % s.replace('"', '""') if special.search(s) else s for s in labels]
-    p_s, p1, p2, delta, lam, theta, stderr = (
-        _texts(c, fmt15, "")
-        for c in (t.p_s, t.p1, t.p2, t.delta, t.lam, t.theta, t.stderr_lambda)
+    p_s, p1, p2, delta, lam, theta, stderr = _texts(
+        (t.p_s, t.p1, t.p2, t.delta, t.lam, t.theta, t.stderr_lambda), fmt15, ""
     )
     lines = [",".join(ANALYZE_HEADER)]
     lines.extend(map(",".join, zip(labels, p_s, p1, p2, delta, lam, kinds, theta, stderr)))

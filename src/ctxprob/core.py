@@ -22,7 +22,7 @@ streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,19 +124,24 @@ class EnsembleCounts:
 
     ``total_emitted`` is the number of systems the source produced while the
     histogram was collected; systems lost in transit appear in the difference
-    ``total_emitted - total_detected``.
+    ``total_emitted - total_detected``. Each count is an ``int >= 0`` (not a bool, float,
+    str or numpy integer) and their sum is below 2**63, or ``ValueError`` names the context.
     """
 
     context_id: str
     counts: dict[str, int]
     total_emitted: int
+    total_detected: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", dict(self.counts))
-
-    @property
-    def total_detected(self) -> int:
-        return sum(self.counts.values())
+        values = self.counts.values()
+        if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
+            label, n = next((b, n) for b, n in self.counts.items() if type(n) is not int or n < 0)
+            raise ValueError(f"context {self.context_id!r} bin {label!r}: count {n!r} is not an int >= 0")
+        object.__setattr__(self, "total_detected", sum(values))
+        if self.total_detected >= 2**63:  # the totals are int64
+            raise ValueError(f"context {self.context_id!r} counts total 2**63 or more")
 
 
 def validate_space(space: OutcomeSpace) -> list[Violation]:

@@ -10,6 +10,7 @@ from ctxprob import (
     GridSpec,
     NormalizationError,
     OutOfRange,
+    ProbabilityWave,
     SplitComplex,
     SplittingCoefficients,
     TwoSlitScenario,
@@ -287,6 +288,17 @@ class TestTwoSlitWave:
             synthesize_two_slit_wave(env, env, [0.0] * 7)
         with pytest.raises(ValueError, match="per-bin"):  # one length, but not 1-D
             synthesize_two_slit_wave([env], [env], [[0.0] * 8])
+
+    @pytest.mark.parametrize("amplitudes, theta1, theta2", [
+        ([1, 0], [0.0], [0.0, 0.0, 0.0]),
+        ([1, 0], [0.0, 0.0], [0.0]),
+        (np.ones((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))),  # one shape, but not 1-D
+        (np.ones(()), np.zeros(()), np.zeros(())),
+    ], ids=["lengths 2, 1, 3", "lengths 2, 2, 1", "2-D", "0-D"])
+    def test_wave_built_directly_checks_its_shapes(self, amplitudes, theta1, theta2):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            ProbabilityWave(amplitudes, theta1, theta2)
+        assert ProbabilityWave([1, 0], [0.0, 0.5], [0.0, 0.0]).amplitudes.shape == (2,)
 
     @pytest.mark.parametrize("field, value", [
         ("p1", math.nan), ("p2", math.inf), ("p1", -0.125), ("theta", math.nan), ("theta", -math.inf),

@@ -161,12 +161,15 @@ class TestPattern:
             interference_pattern(p1, p2, theta),
         )
         calls = []
-        texts = cli._texts
-        monkeypatch.setattr(cli, "_texts", lambda *args: calls.append(args) or texts(*args))
+        fmt15 = cli.fmt15
+        monkeypatch.setattr(cli, "fmt15", lambda value: calls.append(value) or fmt15(value))
         code, out, _ = run_cli(capsys, "pattern", path)
         assert code == 0
-        # Formatted once per column that is not bit for bit an earlier one.
-        assert len(calls) == formatted
+        # Each distinct value of each column that is not bit for bit an earlier one, formatted once.
+        bits = [c.view(np.int64) for c in columns]
+        fresh = [b for i, b in enumerate(bits) if not any(np.array_equal(a, b) for a in bits[:i])]
+        assert len(fresh) == formatted
+        assert len(calls) == sum(len(set(b.tolist())) for b in fresh)
         expected = [",".join("%.15g" % v for v in row) for row in zip(*(c.tolist() for c in columns))]
         assert out.splitlines() == [",".join(cli.PATTERN_HEADER), *expected]
 
@@ -941,8 +944,17 @@ class TestCsvCells:
     @given(st.lists(CSV_FLOATS, max_size=40), st.integers(1, 4))
     def test_cells_match_the_per_value_format(self, values, repeats):
         column = np.array(values * repeats, float)
-        assert list(cli._texts(column, "%.15g".__mod__, "")) == reference_cells(column)
-        assert list(cli._texts(column[::-1], "%.15g".__mod__, "")) == reference_cells(column[::-1])
+        for c in (column, column[::-1]):
+            [texts] = cli._texts([c], "%.15g".__mod__, "")
+            assert list(texts) == reference_cells(c)
+
+    @given(st.lists(CSV_FLOATS, max_size=40), st.integers(1, 4))
+    def test_a_column_equal_to_an_earlier_one_reuses_its_cells(self, values, repeats):
+        column = np.array(values * repeats, float)
+        columns = [column, column[::-1], column.copy()]
+        texts = cli._texts(columns, "%.15g".__mod__, "")
+        assert [list(t) for t in texts] == [reference_cells(c) for c in columns]
+        assert texts[2] is texts[0]
 
     @given(pattern_scenarios())
     def test_pattern_rows_match_the_row_format(self, scenario):
@@ -996,6 +1008,19 @@ def adapter_document(report):
 
 class TestCountsNode:
     """Each context's counts render from its int64 row as json renders the adapter's dict."""
+
+    def test_counts_and_echo_lists_render_a_block_at_a_time(self):
+        phase = {"kind": "explicit", "values": [0.25 * i for i in range(16)]}
+        scenario = cli.parse_scenario({**SCENARIO, "phase": phase})
+        doc = cli.simulation_document(scenario, run_experiment(scenario))
+        echo = doc["scenario"]
+        for value in (doc["report"]["counts"]["S"]["counts"], echo["phase"]["theta"], echo["envelope1"]):
+            whole = "".join(cli._render(value, "    "))
+            assert json.loads(whole) == (dict(value) if type(value) is cli.JsonCounts else plain(value))
+            with mock.patch.object(cli, "BLOCK_ROWS", 2):
+                chunks = list(cli._render(value, "    "))
+            assert "".join(chunks) == whole
+            assert len(chunks) > 8 and max(chunk.count("\n") for chunk in chunks) <= 2  # 16 bins, 2 per chunk
 
     @given(count_reports(ESCAPED_LABELS) | grid_reports(), st.integers(1, 4), st.booleans())
     def test_counts_render_as_the_adapter_dicts(self, report, block_rows, zero):

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,33 @@ class TestSpaceAndCounts:
     def test_duplicate_labels(self):
         violations = validate_space(OutcomeSpace(("a", "a")))
         assert any(v.invariant == "space.unique_labels" for v in violations)
+
+
+class TestEnsembleCounts:
+    @pytest.mark.parametrize("count", [1.5, True, "3", -1, math.nan, np.int64(1)],
+                             ids=["float", "bool", "str", "negative", "nan", "numpy int"])
+    def test_each_count_is_an_int_of_at_least_zero(self, count):
+        message = f"context 'S1' bin 'b': count {count!r} is not an int >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EnsembleCounts("S1", {"a": 2, "b": count, "c": 1.5}, 10)
+
+    @pytest.mark.parametrize("counts", [{"a": 2**63}, {"a": 2**62, "b": 2**62}])
+    def test_total_is_below_2_63(self, counts):
+        with pytest.raises(ValueError, match="^context 'S' counts total 2\\*\\*63 or more$"):
+            EnsembleCounts("S", counts, 0)
+        assert EnsembleCounts("S", {"a": 2**63 - 1}, 0).total_detected == 2**63 - 1
+
+    def test_bad_counts_never_become_probabilities(self):
+        # Unchecked, these made the probabilities 0.75, 0.5 and -0.25 and the coefficient 2.0.
+        with pytest.raises(ValueError, match="bin 'a': count 1.5 is not"):
+            empirical_distribution(EnsembleCounts("S", {"a": 1.5, "b": True, "c": -0.5}, 0))
+        with pytest.raises(ValueError, match="bin 'a': count 1.5 is not"):
+            estimate_splitting(counts("S1", a=1), counts("S2", a=1), EnsembleCounts("S", {"a": 1.5}, 0))
+
+    def test_total_detected_is_the_sum_of_the_counts(self):
+        assert counts("S", a=3, b=0, c=4).total_detected == 7
+        assert counts("S", a=3, b=0, c=4) == counts("S", c=4, a=3, b=0)
+        assert EnsembleCounts("S", {}, 0).total_detected == 0
 
 
 class TestEstimateSplitting:

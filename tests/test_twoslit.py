@@ -32,6 +32,7 @@ from ctxprob import (
     uniform_envelope,
     validate_scenario,
 )
+from ctxprob import twoslit
 from ctxprob.interference import DEGENERATE, TRIGONOMETRIC
 from ctxprob.twoslit import MAX_BINS, MAX_RUNS, _philox_keys, validate_grid
 
@@ -395,6 +396,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="finite and positive"):
             run_experiment(gaussian_scenario(bins=16, n_emitted=1000), tol=math.inf)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -0.1])
+    def test_tolerance_is_checked_before_sampling(self, monkeypatch, tol):
+        def unreachable(*args):
+            raise AssertionError("sampled before the tolerance was checked")
+
+        monkeypatch.setattr(twoslit, "_distributions", unreachable)
+        monkeypatch.setattr(twoslit, "_samples", unreachable)
+        message = f"classification tolerance must be finite and positive, got {tol!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(gaussian_scenario(runs=MAX_RUNS), tol=tol)
+
     def test_zero_emissions_raises(self):
         sc = dataclasses.replace(gaussian_scenario(), n_emitted=0, runs=MAX_RUNS)
         start = time.perf_counter()
@@ -562,11 +574,8 @@ class TestReportShape:
         {"a": 2**62, "b": 2**62},  # each bin fits; the total would wrap to -2**63
     ])
     def test_totals_beyond_int64_raise_value_error(self, counts):
-        space = OutcomeSpace(("a", "b"))
-        fine = EnsembleCounts("S1", {"a": 3, "b": 5}, 10)
-        huge = EnsembleCounts("S", counts, 0)
         with pytest.raises(ValueError, match="context 'S' counts total 2\\*\\*63 or more"):
-            decompose_empirical(space, huge, fine, fine)
+            EnsembleCounts("S", counts, 0)  # refused when made, before decompose_empirical
 
     @pytest.mark.parametrize("context", [0, 1, 2])
     @pytest.mark.parametrize("counts, label, count", [
@@ -578,13 +587,10 @@ class TestReportShape:
         ({"a": 3, "b": math.nan}, "b", "nan"),
     ])
     def test_counts_must_be_ints_of_at_least_zero(self, context, counts, label, count):
-        space = OutcomeSpace(("a", "b"))
-        ensembles = [EnsembleCounts(which, {"a": 3, "b": 5}, 10) for which in ("S", "S1", "S2")]
-        which = ensembles[context].context_id
-        ensembles[context] = EnsembleCounts(which, counts, 10)
+        which = ("S", "S1", "S2")[context]
         message = f"context '{which}' bin '{label}': count {count} is not an int >= 0"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            decompose_empirical(space, *ensembles)
+            EnsembleCounts(which, counts, 10)  # refused when made, before decompose_empirical
 
     def test_invalid_scenario_raises_scenario_error(self):
         sc = dataclasses.replace(gaussian_scenario(), runs=0)
