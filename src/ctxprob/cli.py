@@ -63,8 +63,6 @@ from .twoslit import (
     uniform_envelope,
     _check_gaussian,
     _estimate,
-    _require_valid,
-    validate_grid,
 )
 
 EXIT_OK = 0
@@ -213,11 +211,10 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
         x_min = _get(grid_doc, "grid", "x_min", float, errors)
         x_max = _get(grid_doc, "grid", "x_max", float, errors)
         if None not in (bins, x_min, x_max):
-            grid = GridSpec(bins, x_min, x_max)
-            violations = validate_grid(grid)
-            errors.extend((v.invariant, v.message) for v in violations)
-            if violations:
-                grid = None
+            try:
+                grid = GridSpec(bins, x_min, x_max)
+            except ScenarioError as exc:
+                errors.extend(exc.problems)
 
     env_doc = _get(doc, "", "envelopes", dict, errors)
     env1 = env2 = None
@@ -241,9 +238,7 @@ def parse_scenario(doc: dict) -> TwoSlitScenario:
 
     if errors:
         raise ScenarioError(errors)
-    scenario = TwoSlitScenario(grid, env1, env2, phase, n_emitted, runs, seed)
-    _require_valid(scenario)
-    return scenario
+    return TwoSlitScenario(grid, env1, env2, phase, n_emitted, runs, seed)
 
 
 def load_scenario(path: str) -> TwoSlitScenario:
@@ -278,7 +273,7 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
             "h": scenario.phase.scaling,
         }
     phase["theta"] = scenario.phase_table()
-    envelopes = _texts([_floats(scenario.envelope1), _floats(scenario.envelope2)], repr, "null")
+    envelopes = _texts([scenario.envelope1, scenario.envelope2], repr, "null")
     return {
         "grid": {
             "bins": scenario.grid.bins,
@@ -404,55 +399,44 @@ def _column(values) -> Sequence[str]:
 BLOCK_ROWS = 4096
 
 
-def _record_rows(node: RecordColumns, pad: str) -> Iterator[str]:
-    """The text of a record-columns node, :data:`BLOCK_ROWS` records per chunk."""
-    names = sorted(node)
-    inner, field = pad + "  ", pad + "    "
-    heads = [",\n" + field + encode_basestring_ascii(name) + ": " for name in names]
-    heads[0] = "{" + heads[0][1:]
-    close = "\n" + inner + "}"
-    # A record is the head and the text of each field in turn, then the close.
-    step = 2 * len(names) + 1
-    rows = len(node[names[0]])
+def _entries(pad: str, brackets: str, rows: int, parts: Sequence) -> Iterator[str]:
+    """The text of a list (``brackets`` ``"[]"``) or object (``"{}"``) of ``rows`` entries,
+    :data:`BLOCK_ROWS` entries per chunk. An entry is ``parts`` in turn: a ``str`` part is
+    written as it is, any other is called with the block's slice and returns the block's texts."""
+    inner, step = pad + "  ", len(parts) + 1
     for start in range(0, rows, BLOCK_ROWS):
         count = min(BLOCK_ROWS, rows - start)
-        pieces = [close + ",\n" + inner] * (step * count)
-        for i, name in enumerate(names):
-            pieces[2 * i::step] = [heads[i]] * count
-            pieces[2 * i + 1::step] = _column(node[name][start:start + BLOCK_ROWS])
-        pieces[-1] = close
-        yield ("," if start else "[") + "\n" + inner  # a chunk of its own: the block is not copied
+        pieces = [",\n" + inner] * (step * count)  # each entry's separator, then its parts
+        for i, part in enumerate(parts, 1):
+            pieces[i::step] = [part] * count if type(part) is str else part(slice(start, start + count))
+        pieces[0] = ("," if start else brackets[0]) + "\n" + inner
         yield "".join(pieces)
-    yield "\n" + pad + "]" if rows else "[]"
+    yield "\n" + pad + brackets[1] if rows else brackets
 
 
 def _render(value, pad: str) -> Iterator[str]:
-    """The text of ``value``, indented at ``pad``, in chunks."""
+    """The text of ``value``, indented at ``pad``, in chunks; each per-bin list by :func:`_entries`."""
     kind, inner = type(value), pad + "  "
     if kind is dict:  # small: key by key; encode_basestring_ascii raises on a non-str key
         for i, key in enumerate(sorted(value)):
             yield ("," if i else "{") + "\n" + inner + encode_basestring_ascii(key) + ": "
             yield from _render(value[key], inner)
         yield "\n" + pad + "}" if value else "{}"
-    elif kind is RecordColumns:
-        yield from _record_rows(value, pad)
     elif value is None or kind in (str, int, float, bool):
         yield json.dumps(value, indent=2, allow_nan=False)
-    elif kind is JsonCounts:  # a chunk of pieces per block, not a string per entry
-        for start in range(0, len(value.row), BLOCK_ROWS):
-            [texts] = _texts([value.row[start:start + BLOCK_ROWS]], int.__repr__, "")
-            pieces = [",\n" + inner, None, ": ", None] * len(texts)
-            pieces[1::4], pieces[3::4] = value.texts[start:start + BLOCK_ROWS], texts
-            pieces[0] = ("," if start else "{") + "\n" + inner
-            yield "".join(pieces)
-        yield "\n" + pad + "}" if len(value.row) else "{}"
+    elif kind is RecordColumns:  # a record: each field's head and text in turn, then the close
+        names, parts = sorted(value), []
+        for i, name in enumerate(names):
+            head = ("," if i else "{") + "\n" + inner + "  " + encode_basestring_ascii(name) + ": "
+            parts += [head, lambda block, column=value[name]: _column(column[block])]
+        yield from _entries(pad, "[]", len(value[names[0]]), [*parts, "\n" + inner + "}"])
+    elif kind is JsonCounts:
+        parts = [value.texts.__getitem__, ": ", lambda block: _texts([value.row[block]], int.__repr__, "")[0]]
+        yield from _entries(pad, "{}", len(value.row), parts)
     else:  # a column's list
         if type(value) is not JsonColumn:
             _floats(value)  # json's errors for any other value, before the first chunk
-        for start in range(0, len(value), BLOCK_ROWS):
-            yield ("," if start else "[") + "\n" + inner
-            yield (",\n" + inner).join(_column(value[start:start + BLOCK_ROWS]))
-        yield "\n" + pad + "]" if len(value) else "[]"
+        yield from _entries(pad, "[]", len(value), [lambda block: _column(value[block])])
 
 
 def render_json(doc: dict) -> str:
@@ -725,10 +709,10 @@ def _tolerance(text: str) -> float:
 
 
 def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+    with suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Invariant violations on data records are reported as values (see
-``core.validate_model``), not exceptions. Exceptions are reserved for
-operations that cannot produce a meaningful result at all.
+The checks ``core.validate_model`` and ``twoslit.validate_scenario`` report violations as values.
+A grid or scenario made with bad fields raises :class:`ScenarioError`, and bad counts ``ValueError``.
+Other exceptions are reserved for operations that cannot produce a meaningful result at all.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ CONTEXT_IDS = ("S", "S1", "S2")
 #: reach the screen when only one opening is active.
 BRANCH_ACCEPTANCE = 0.5
 
-#: Largest grid accepted: at 2**20 bins ``simulate`` peaks near 700 bytes of memory per bin.
+#: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 575 MiB of memory.
 MAX_BINS = 2**21
 #: Most runs accepted: sampling time grows with the (context, run) pairs drawn.
 MAX_RUNS = 2**16
@@ -72,11 +72,14 @@ def position_labels(x: np.ndarray) -> tuple[str, ...]:
 
 @dataclass(frozen=True, slots=True)
 class GridSpec:
-    """Uniform one-dimensional bin grid on the detection line."""
+    """Uniform one-dimensional bin grid on the detection line, checked by :func:`validate_grid` when made."""
 
     bins: int
     x_min: float
     x_max: float
+
+    def __post_init__(self) -> None:
+        _refuse(validate_grid(self))
 
     @property
     def width(self) -> float:
@@ -124,7 +127,8 @@ class TwoSlitScenario:
     each summing to 1 over the grid, held as read-only float64 arrays.
     ``n_emitted`` is the number of particles the source emits per context
     per run. The splitting coefficients are fixed at ``(1/2, 1/2)`` by the
-    symmetric-source assumption.
+    symmetric-source assumption. A scenario is checked by :func:`validate_scenario`
+    when made, so nothing that takes one checks it again.
     """
 
     grid: GridSpec
@@ -138,6 +142,7 @@ class TwoSlitScenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "envelope1", read_only(self.envelope1))
         object.__setattr__(self, "envelope2", read_only(self.envelope2))
+        _refuse(validate_scenario(self))
 
     @property
     def coeffs(self) -> SplittingCoefficients:
@@ -188,8 +193,11 @@ def table_envelope(values) -> np.ndarray:
 
 
 def validate_grid(grid: GridSpec) -> list[Violation]:
+    """The grid's problems; a :class:`GridSpec` raises :class:`ScenarioError` of them when made."""
     out: list[Violation] = []
-    if not 1 <= grid.bins <= MAX_BINS:
+    if type(grid.bins) is not int:
+        out.append(Violation("grid.bins", f"must be an int, got {grid.bins!r}"))
+    elif not 1 <= grid.bins <= MAX_BINS:
         out.append(Violation("grid.bins", f"need 1 to {MAX_BINS} bins, got {grid.bins!r}"))
     if not (math.isfinite(grid.x_min) and math.isfinite(grid.x_max)):
         out.append(
@@ -203,17 +211,25 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
         out.append(
             Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}")
         )
-    elif 1 <= grid.bins <= MAX_BINS and not (np.diff(grid.midpoints()) > 0.0).all():  # equal labels
+    elif not out and not (np.diff(grid.midpoints()) > 0.0).all():  # equal labels
         out.append(Violation("grid.range", f"{grid.bins} bins have equal midpoints on this range"))
     return out
 
 
+def _length_problem(values: np.ndarray, noun: str, bins: int) -> str | None:
+    """Why ``values`` is not one 1-D entry per bin, or None."""
+    if values.ndim != 1:
+        return f"{noun} must be 1-D, got shape {values.shape}"
+    return f"{len(values)} {noun} for {bins} bins" if len(values) != bins else None
+
+
 def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
-    grid = scenario.grid
-    out = validate_grid(grid)
+    """The problems of every field but the grid, which checks itself; a :class:`TwoSlitScenario`
+    raises :class:`ScenarioError` of them when made. Counts and the seed are plain ``int``s."""
+    grid, out = scenario.grid, []
     for name, env in (("envelope1", scenario.envelope1), ("envelope2", scenario.envelope2)):
-        if len(env) != grid.bins:
-            out.append(Violation(f"{name}.length", f"{len(env)} values for {grid.bins} bins"))
+        if problem := _length_problem(env, "values", grid.bins):
+            out.append(Violation(f"{name}.length", problem))
             continue
         if not np.isfinite(env).all():
             out.append(Violation(f"{name}.finite", "envelope has non-finite entries"))
@@ -225,38 +241,38 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
             message = f"envelope sums to {total!r}, not 1 within {DISTRIBUTION_SUM_TOL}"
             out.append(Violation(f"{name}.normalized", message, value=total))
     phase = scenario.phase
-    if isinstance(phase, ExplicitPhase) and len(phase.values) != grid.bins:
-        out.append(Violation("phase.length", f"{len(phase.values)} phases for {grid.bins} bins"))
+    if isinstance(phase, ExplicitPhase) and (problem := _length_problem(phase.values, "phases", grid.bins)):
+        out.append(Violation("phase.length", problem))
     elif isinstance(phase, FreeWavePhase) and not 0.0 < phase.scaling < math.inf:
         out.append(
             Violation("phase.scaling", f"scaling must be finite and positive, got {phase.scaling!r}")
         )
     elif not out:
-        # Evaluated only once the grid and the envelopes are valid. Free-wave
+        # Evaluated only once the envelopes are valid. Free-wave
         # phases overflow where momenta, positions and scaling multiply out of range.
         with np.errstate(over="ignore", invalid="ignore"):
             finite = bool(np.isfinite(scenario.phase_table()).all())
         if not finite:
             out.append(Violation("phase.finite", "theta(x) has non-finite entries"))
-    if scenario.n_emitted < 0:
-        out.append(Violation("sampling.n_emitted", f"must be >= 0, got {scenario.n_emitted!r}"))
-    elif scenario.n_emitted * scenario.runs >= 2**63:
-        # The per-context totals are int64 counts.
-        out.append(
-            Violation(
-                "sampling.n_emitted",
-                f"n_emitted * runs must be below 2**63, got {scenario.n_emitted * scenario.runs!r}",
-            )
-        )
-    if not 1 <= scenario.runs <= MAX_RUNS:
-        out.append(Violation("sampling.runs", f"need 1 to {MAX_RUNS} runs, got {scenario.runs!r}"))
-    if not (0 <= scenario.seed < 2**64):
-        out.append(Violation("sampling.seed", f"must fit in 64 bits, got {scenario.seed!r}"))
+    n, runs, seed = scenario.n_emitted, scenario.runs, scenario.seed
+    if type(n) is not int:
+        out.append(Violation("sampling.n_emitted", f"must be an int, got {n!r}"))
+    elif n < 0:
+        out.append(Violation("sampling.n_emitted", f"must be >= 0, got {n!r}"))
+    elif type(runs) is int and n * runs >= 2**63:  # the per-context totals are int64 counts
+        out.append(Violation("sampling.n_emitted", f"n_emitted * runs must be below 2**63, got {n * runs!r}"))
+    if type(runs) is not int:
+        out.append(Violation("sampling.runs", f"must be an int, got {runs!r}"))
+    elif not 1 <= runs <= MAX_RUNS:
+        out.append(Violation("sampling.runs", f"need 1 to {MAX_RUNS} runs, got {runs!r}"))
+    if type(seed) is not int:
+        out.append(Violation("sampling.seed", f"must be an int, got {seed!r}"))
+    elif not 0 <= seed < 2**64:
+        out.append(Violation("sampling.seed", f"must fit in 64 bits, got {seed!r}"))
     return out
 
 
-def _require_valid(scenario: TwoSlitScenario) -> None:
-    violations = validate_scenario(scenario)
+def _refuse(violations: list[Violation]) -> None:
     if violations:
         raise ScenarioError([(v.invariant, v.message) for v in violations])
 
@@ -273,7 +289,6 @@ def interference_pattern(p1: np.ndarray, p2: np.ndarray, theta: np.ndarray) -> n
 def _distributions(scenario: TwoSlitScenario) -> tuple[tuple[np.ndarray, ...], float]:
     """The pattern and both envelopes renormalized over the grid (each context's
     sampling distribution, in ``CONTEXT_IDS`` order), and the pattern's raw grid sum."""
-    _require_valid(scenario)
     p1, p2 = scenario.envelope1, scenario.envelope2
     raw = interference_pattern(p1, p2, scenario.phase_table())
     low = float(raw.min())

@@ -52,6 +52,23 @@ def write_scenario(tmp_path, name="scenario.json", **overrides):
     return str(path)
 
 
+#: One bin where the branches cancel: equal table envelopes and the phase pi.
+DARK_BIN = {
+    "grid": {"bins": 1, "x_min": -1.0, "x_max": 1.0},
+    "envelopes": {"slit1": {"kind": "table", "values": [1]}, "slit2": {"kind": "table", "values": [1]}},
+    "phase": {"kind": "explicit", "values": [math.pi]},
+}
+
+
+@pytest.mark.parametrize("argv, scenario_checks", [
+    (["pattern"], 1), (["simulate"], 1), (["--seed", "3", "simulate"], 2),  # --seed makes a new scenario
+])
+def test_each_record_is_checked_once(capsys, tmp_path, validation_calls, argv, scenario_checks):
+    code, _, _ = run_cli(capsys, *argv, write_scenario(tmp_path))
+    assert code == 0
+    assert validation_calls == {"validate_scenario": scenario_checks, "validate_grid": 1}
+
+
 #: 4096 bins on [-0.001, 0.003]: 204 midpoints near 0 print in exponent form
 #: ("-4.882812499999462e-07"), so the counts objects' sorted keys interleave forms.
 SMALL_X = {
@@ -97,6 +114,11 @@ def test_two_word_seeds_are_pinned(capsys, tmp_path, argv, sampling, digest):
 
 
 class TestPattern:
+    def test_a_pattern_summing_to_zero_is_written(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "pattern", write_scenario(tmp_path, **DARK_BIN))
+        assert (code, err) == (0, "")
+        assert out == "x,p1,p2,theta,p_classical,p_interference\n0,1,1,3.14159265358979,1,0\n"
+
     def test_classical_columns_coincide(self, capsys, tmp_path):
         path = write_scenario(
             tmp_path, phase={"kind": "explicit", "values": [math.pi / 2] * 16}
@@ -410,7 +432,7 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: {message}")
 
-    @pytest.mark.parametrize("workers", ["-3", "0", "two"])
+    @pytest.mark.parametrize("workers", ["-3", "0", "two", "abc"])
     def test_workers_must_be_a_positive_integer(self, capsys, tmp_path, workers):
         path = write_scenario(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -418,7 +440,11 @@ class TestSimulate:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: argument --workers:" in captured.err
+        assert captured.err.endswith(f"error: argument --workers: must be an integer >= 1, got {workers!r}\n")
+
+    def test_a_pattern_summing_to_zero_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, **DARK_BIN))
+        assert (code, out, err) == (2, "", "error: pattern: interference pattern sums to zero\n")
 
     def test_zero_emissions_exit_3(self, capsys, tmp_path):
         scenario = write_scenario(

@@ -45,56 +45,59 @@ def gaussian_scenario(bins=128, span=4.0, phase=None, n_emitted=10**5, runs=1, s
     return TwoSlitScenario(grid, env, env, phase, n_emitted, runs, seed)
 
 
+def problems(make, *args, **fields):
+    """The (invariant, message) pairs of the ScenarioError that ``make(*args, **fields)`` raises."""
+    with pytest.raises(ScenarioError) as exc:
+        make(*args, **fields)
+    return exc.value.problems
+
+
+def invariants(make, *args, **fields):
+    return [name for name, _ in problems(make, *args, **fields)]
+
+
 class TestScenarioValidation:
+    """A grid and a scenario refuse bad fields when made, one (invariant, message) pair per problem."""
+
     def test_valid_scenario(self):
         assert validate_scenario(gaussian_scenario()) == []
 
     def test_bad_grid(self):
-        grid = GridSpec(0, 1.0, -1.0)
-        sc = TwoSlitScenario(grid, (), (), ExplicitPhase(()), 10)
-        names = {v.invariant for v in validate_scenario(sc)}
+        names = set(invariants(GridSpec, 0, 1.0, -1.0))
         assert "grid.bins" in names and "grid.range" in names
 
     def test_envelope_length_mismatch(self):
         sc = gaussian_scenario()
-        sc = dataclasses.replace(sc, envelope1=sc.envelope1[:-1])
-        assert any(v.invariant == "envelope1.length" for v in validate_scenario(sc))
+        assert "envelope1.length" in invariants(dataclasses.replace, sc, envelope1=sc.envelope1[:-1])
 
     def test_unnormalized_envelope(self):
         sc = gaussian_scenario()
-        sc = dataclasses.replace(sc, envelope2=tuple(2 * p for p in sc.envelope2))
-        assert any(v.invariant == "envelope2.normalized" for v in validate_scenario(sc))
+        doubled = tuple(2 * p for p in sc.envelope2)
+        assert "envelope2.normalized" in invariants(dataclasses.replace, sc, envelope2=doubled)
 
     def test_negative_counts_and_seed(self):
-        sc = dataclasses.replace(gaussian_scenario(), n_emitted=-1, seed=-5, runs=0)
-        names = {v.invariant for v in validate_scenario(sc)}
+        names = set(invariants(gaussian_scenario, n_emitted=-1, seed=-5, runs=0))
         assert {"sampling.n_emitted", "sampling.runs", "sampling.seed"} <= names
 
     def test_runs_are_bounded(self):
-        sc = dataclasses.replace(gaussian_scenario(), n_emitted=0, runs=MAX_RUNS + 1)
-        assert [v.invariant for v in validate_scenario(sc)] == ["sampling.runs"]
-        assert validate_scenario(dataclasses.replace(sc, runs=MAX_RUNS)) == []
+        assert invariants(gaussian_scenario, n_emitted=0, runs=MAX_RUNS + 1) == ["sampling.runs"]
+        assert validate_scenario(gaussian_scenario(n_emitted=0, runs=MAX_RUNS)) == []
 
     def test_sampling_total_must_fit_int64(self):
-        sc = dataclasses.replace(gaussian_scenario(), n_emitted=2**62, runs=2)
-        assert [v.invariant for v in validate_scenario(sc)] == ["sampling.n_emitted"]
-        with pytest.raises(ScenarioError):
-            run_experiment(sc)
+        assert invariants(gaussian_scenario, n_emitted=2**62, runs=2) == ["sampling.n_emitted"]
 
     def test_non_finite_grid_and_envelopes(self):
+        assert invariants(GridSpec, 128, -math.inf, 4.0) == ["grid.range"]
         sc = gaussian_scenario()
-        sc = dataclasses.replace(
-            sc,
-            grid=GridSpec(sc.grid.bins, -math.inf, 4.0),
+        names = set(invariants(
+            dataclasses.replace, sc,
             envelope1=(math.nan, *sc.envelope1[1:]),
             envelope2=(math.inf, *sc.envelope2[1:]),
-        )
-        names = {v.invariant for v in validate_scenario(sc)}
-        assert names == {"grid.range", "envelope1.finite", "envelope2.finite"}
+        ))
+        assert names == {"envelope1.finite", "envelope2.finite"}
 
     def test_freewave_scaling_must_be_positive(self):
-        sc = gaussian_scenario(phase=FreeWavePhase(1.0, -1.0, 0.0))
-        assert any(v.invariant == "phase.scaling" for v in validate_scenario(sc))
+        assert "phase.scaling" in invariants(gaussian_scenario, phase=FreeWavePhase(1.0, -1.0, 0.0))
 
     @pytest.mark.parametrize("phase, invariant", [
         (FreeWavePhase(1.0, -1.0, math.nan), "phase.scaling"),
@@ -105,30 +108,61 @@ class TestScenarioValidation:
         (ExplicitPhase((math.nan,) * 128), "phase.finite"),
     ])
     def test_phase_must_be_finite(self, phase, invariant):
-        sc = gaussian_scenario(phase=phase)
-        assert [v.invariant for v in validate_scenario(sc)] == [invariant]
+        assert invariants(gaussian_scenario, phase=phase) == [invariant]
 
     def test_grid_width_and_size_are_bounded(self):
-        wide = GridSpec(16, -1e308, 1e308)
-        assert [v.invariant for v in validate_grid(wide)] == ["grid.range"]
-        huge = GridSpec(MAX_BINS + 1, -4.0, 4.0)
-        assert [v.invariant for v in validate_grid(huge)] == ["grid.bins"]
+        assert invariants(GridSpec, 16, -1e308, 1e308) == ["grid.range"]
+        assert invariants(GridSpec, MAX_BINS + 1, -4.0, 4.0) == ["grid.bins"]
         assert validate_grid(GridSpec(MAX_BINS, -4.0, 4.0)) == []
         # 2**24 bins would peak near 12 GB in simulate
-        assert [v.invariant for v in validate_grid(GridSpec(2**24, -4.0, 4.0))] == ["grid.bins"]
+        assert invariants(GridSpec, 2**24, -4.0, 4.0) == ["grid.bins"]
 
     def test_grid_labels_are_unique_midpoints(self):
         grid = GridSpec(64, -4.0, 4.0)
         labels = grid.labels()
         assert len(set(labels)) == 64
         assert labels[0] == repr(float(grid.midpoints()[0]))
-        # On a range a few ulps wide, midpoints (and so labels) coincide.
-        narrow = GridSpec(8, 1.0, 1.0000000000000004)
-        assert len(set(narrow.labels())) < 8
-        assert [(v.invariant, v.message) for v in validate_grid(narrow)] == [
+        # On a range a few ulps wide, midpoints (and so labels) coincide, and the grid is refused.
+        width = (1.0000000000000004 - 1.0) / 8
+        assert len(set(twoslit.position_labels(1.0 + (np.arange(8) + 0.5) * width))) < 8
+        assert problems(GridSpec, 8, 1.0, 1.0000000000000004) == [
             ("grid.range", "8 bins have equal midpoints on this range")
         ]
         assert validate_grid(GridSpec(2, 1.0, 1.0000000000000004)) == []
+
+    @pytest.mark.parametrize("fields", [
+        {"runs": 2.0}, {"runs": True}, {"seed": 1.5}, {"seed": True}, {"n_emitted": 1.5},
+        {"n_emitted": True}, {"n_emitted": np.int64(2**62), "runs": 4},
+    ], ids=repr)
+    def test_counts_and_seed_are_plain_ints(self, fields):
+        name, value = next(iter(fields.items()))
+        assert problems(gaussian_scenario, **fields) == [(f"sampling.{name}", f"must be an int, got {value!r}")]
+
+    @pytest.mark.parametrize("bins", [64.0, True, np.int64(64)], ids=repr)
+    def test_grid_bins_are_a_plain_int(self, bins):
+        assert problems(GridSpec, bins, -4, 4) == [("grid.bins", f"must be an int, got {bins!r}")]
+
+    def test_per_bin_values_are_1d(self):
+        sc = gaussian_scenario()
+        assert problems(dataclasses.replace, sc, envelope1=sc.envelope1.reshape(-1, 1)) == [
+            ("envelope1.length", "values must be 1-D, got shape (128, 1)")
+        ]
+        assert problems(dataclasses.replace, sc, envelope2=np.array(1.0)) == [
+            ("envelope2.length", "values must be 1-D, got shape ()")
+        ]
+        assert problems(dataclasses.replace, sc, phase=ExplicitPhase(np.zeros((128, 1)))) == [
+            ("phase.length", "phases must be 1-D, got shape (128, 1)")
+        ]
+
+    def test_a_scenario_is_checked_once_when_made(self, validation_calls):
+        sc = gaussian_scenario(bins=64)
+        assert validation_calls == {"validate_scenario": 1, "validate_grid": 1}
+        run_experiment(sc)
+        analytic_pattern(sc)
+        pattern_normalization(sc)
+        for which in twoslit.CONTEXT_IDS:
+            simulate_context(sc, which)
+        assert validation_calls == {"validate_scenario": 1, "validate_grid": 1}
 
     @pytest.mark.parametrize("mean, sigma", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf),
@@ -593,9 +627,8 @@ class TestReportShape:
             EnsembleCounts(which, counts, 10)  # refused when made, before decompose_empirical
 
     def test_invalid_scenario_raises_scenario_error(self):
-        sc = dataclasses.replace(gaussian_scenario(), runs=0)
         with pytest.raises(ScenarioError):
-            run_experiment(sc)
+            dataclasses.replace(gaussian_scenario(), runs=0)
 
     def test_reported_stderr_matches_seed_to_seed_spread(self):
         # Independent oracle for the error model: the reported per-bin
