@@ -16,7 +16,8 @@ round-trip float rendering with sorted keys, so ``json.loads`` then
 ``json.dumps(sort_keys=True, indent=2)`` gives the same bytes. Both formats
 render each distinct value of a float column once and reuse the texts of an
 equal column; a report renders its counts from their int64 rows, and each
-label, kind and sign text is made once.
+label, kind and sign text is made once. Its per-bin numbers have the bytes of
+``repr``, from one orjson call per block (:func:`~ctxprob.twoslit.repr_texts`).
 ``analyze`` reads plain ``label,count`` files (LF or CRLF line ends) as columns,
 any other with ``csv`` row by row, and reads back the labels with line breaks
 that it writes quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
@@ -58,6 +59,7 @@ from .twoslit import (
     TwoSlitScenario,
     gaussian_envelope,
     interference_pattern,
+    repr_texts,
     run_experiment,
     table_envelope,
     uniform_envelope,
@@ -84,16 +86,16 @@ fmt15 = "%.15g".__mod__
 def _texts(columns: Sequence[np.ndarray], fmt, nan: str) -> list[tuple[str, ...]]:
     """A tuple of texts per 1-D float64 (or int64) column: ``fmt`` of each value, ``nan`` for NaN.
     Each distinct bit pattern of a column is formatted once (counts and counts / N repeat their
-    values), and a column equal bit for bit to an earlier one (a symmetric envelope) reuses its
-    texts. A tuple of str is one object the garbage collector stops tracking, so it is not
-    traversed again while a caller builds rows."""
+    values), ``repr`` by one :func:`repr_texts` call, and a column equal bit for bit to an earlier
+    one (a symmetric envelope) reuses its texts. A tuple of str is one object the garbage
+    collector stops tracking, so it is not traversed again while a caller builds rows."""
     bits, out = [c.view(np.int64) for c in columns], []
     for column, b in zip(columns, bits):
         same = next((t for a, t in zip(bits, out) if np.array_equal(a, b)), None)
         if same is None:
             distinct, index = np.unique(b, return_inverse=True)
             distinct = distinct.view(column.dtype)
-            texts = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+            texts = np.array(repr_texts(distinct) if fmt is repr else [*map(fmt, distinct.tolist())], object)
             texts[np.isnan(distinct)] = nan
             same = tuple(texts[index].tolist())
         out.append(same)
@@ -431,7 +433,7 @@ def _render(value, pad: str) -> Iterator[str]:
             parts += [head, lambda block, column=value[name]: _column(column[block])]
         yield from _entries(pad, "[]", len(value[names[0]]), [*parts, "\n" + inner + "}"])
     elif kind is JsonCounts:
-        parts = [value.texts.__getitem__, ": ", lambda block: _texts([value.row[block]], int.__repr__, "")[0]]
+        parts = [value.texts.__getitem__, ": ", lambda block: _texts([value.row[block]], repr, "")[0]]
         yield from _entries(pad, "{}", len(value.row), parts)
     else:  # a column's list
         if type(value) is not JsonColumn:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,10 +65,23 @@ MAX_BINS = 2**21
 MAX_RUNS = 2**16
 
 
+def repr_texts(values: np.ndarray) -> list[str]:
+    """The ``repr`` of each value of a contiguous 1-D float64 or int64 array. One orjson call
+    writes them all; a float outside ``1e-4 <= |x| < 1e16`` other than 0, where orjson's text
+    can differ (the exponent forms, subnormals, NaN and inf), is written again by ``repr``."""
+    import orjson  # on first use, so importing ctxprob does not pay for it
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    other = np.flatnonzero(~((1e-4 <= size) & (size < 1e16) | (values == 0)))
+    for i, value in zip(other.tolist(), values[other].tolist()):
+        texts[i] = repr(value)
+    return texts if len(values) else []
+
+
 def position_labels(x: np.ndarray) -> tuple[str, ...]:
     """The labels of bins at the places ``x``: each is the ``repr`` of its place, the
     shortest text that reads back as the same float. A grid's bins are labelled so."""
-    return tuple(map(float.__repr__, x.tolist()))
+    return tuple(repr_texts(np.ascontiguousarray(x, float)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +213,14 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
         out.append(Violation("grid.bins", f"must be an int, got {grid.bins!r}"))
     elif not 1 <= grid.bins <= MAX_BINS:
         out.append(Violation("grid.bins", f"need 1 to {MAX_BINS} bins, got {grid.bins!r}"))
-    if not (math.isfinite(grid.x_min) and math.isfinite(grid.x_max)):
+    ends = {"x_min": grid.x_min, "x_max": grid.x_max}
+    wrong = [
+        Violation(f"grid.{name}", f"must be an int or a float, got {value!r}")
+        for name, value in ends.items() if isinstance(value, bool) or not isinstance(value, (int, float))
+    ]
+    if wrong:  # the range of a non-number is not checked
+        out.extend(wrong)
+    elif not all(abs(value) <= sys.float_info.max for value in ends.values()):  # a huge int too
         out.append(
             Violation("grid.range", f"x_min {grid.x_min!r} and x_max {grid.x_max!r} must be finite")
         )
@@ -207,7 +228,7 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
         out.append(
             Violation("grid.range", f"x_max {grid.x_max!r} must exceed x_min {grid.x_min!r}")
         )
-    elif not math.isfinite(grid.x_max - grid.x_min):
+    elif not abs(grid.x_max - grid.x_min) <= sys.float_info.max:
         out.append(
             Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}")
         )
@@ -241,7 +262,9 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
             message = f"envelope sums to {total!r}, not 1 within {DISTRIBUTION_SUM_TOL}"
             out.append(Violation(f"{name}.normalized", message, value=total))
     phase = scenario.phase
-    if isinstance(phase, ExplicitPhase) and (problem := _length_problem(phase.values, "phases", grid.bins)):
+    if not isinstance(phase, (ExplicitPhase, FreeWavePhase)):
+        out.append(Violation("phase.kind", f"must be an ExplicitPhase or a FreeWavePhase, got {phase!r}"))
+    elif isinstance(phase, ExplicitPhase) and (problem := _length_problem(phase.values, "phases", grid.bins)):
         out.append(Violation("phase.length", problem))
     elif isinstance(phase, FreeWavePhase) and not 0.0 < phase.scaling < math.inf:
         out.append(

@@ -4,6 +4,8 @@ import math
 import operator
 import os
 import re
+import struct
+import sys
 import time
 import tracemalloc
 
@@ -34,7 +36,7 @@ from ctxprob import (
 )
 from ctxprob import twoslit
 from ctxprob.interference import DEGENERATE, TRIGONOMETRIC
-from ctxprob.twoslit import MAX_BINS, MAX_RUNS, _philox_keys, validate_grid
+from ctxprob.twoslit import MAX_BINS, MAX_RUNS, _philox_keys, repr_texts, validate_grid
 
 
 def gaussian_scenario(bins=128, span=4.0, phase=None, n_emitted=10**5, runs=1, seed=1012):
@@ -142,6 +144,30 @@ class TestScenarioValidation:
     def test_grid_bins_are_a_plain_int(self, bins):
         assert problems(GridSpec, bins, -4, 4) == [("grid.bins", f"must be an int, got {bins!r}")]
 
+    @pytest.mark.parametrize("bins, x_min, x_max", [
+        (4, "a", 1.0), (4, 0.0, None), (4, True, 1.0), (0, np.float32(0.5), [1.0]),
+    ], ids=repr)
+    def test_grid_ends_are_numbers(self, bins, x_min, x_max):
+        expected = [("grid.bins", "need 1 to 2097152 bins, got 0")] if bins == 0 else []
+        expected += [
+            (f"grid.{name}", f"must be an int or a float, got {value!r}")
+            for name, value in (("x_min", x_min), ("x_max", x_max)) if type(value) not in (int, float)
+        ]
+        assert problems(GridSpec, bins, x_min, x_max) == expected
+
+    def test_grid_ends_beyond_the_float_range(self):
+        assert problems(GridSpec, 4, 0, 10**400) == [
+            ("grid.range", f"x_min 0 and x_max {10**400!r} must be finite")
+        ]
+        assert invariants(GridSpec, 4, -(10**308), 10**308) == ["grid.range"]  # x_max - x_min
+        assert GridSpec(4, -4, 4).labels() == ("-3.0", "-1.0", "1.0", "3.0")
+
+    @pytest.mark.parametrize("phase", [None, "freewave", (0.5,) * 128], ids=["none", "str", "tuple"])
+    def test_phase_is_a_phase_model(self, phase):
+        assert problems(dataclasses.replace, gaussian_scenario(), phase=phase) == [
+            ("phase.kind", f"must be an ExplicitPhase or a FreeWavePhase, got {phase!r}")
+        ]
+
     def test_per_bin_values_are_1d(self):
         sc = gaussian_scenario()
         assert problems(dataclasses.replace, sc, envelope1=sc.envelope1.reshape(-1, 1)) == [
@@ -218,6 +244,49 @@ class TestScenarioValidation:
             assert values.flags.writeable is False
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
+
+
+def bit_pattern(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+#: Each side of orjson's window 1e-4 <= |x| < 1e16, the ends of the float64 range and 2**53.
+EDGES = [
+    0.0, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
+    np.nextafter(1e16, math.inf), 5e-324, sys.float_info.min, np.nextafter(sys.float_info.min, 0),
+    sys.float_info.max, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 0.1, 1 / 3, math.inf, math.nan,
+]
+
+
+class TestReprTexts:
+    """One orjson call writes the text of every value; each must be ``repr``'s, bit pattern by bit pattern."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1) | st.floats().map(bit_pattern), max_size=64))
+    def test_any_float64_bit_pattern(self, bits):
+        values = np.array(bits, np.uint64).view(np.float64)
+        assert repr_texts(values) == list(map(repr, values.tolist()))
+
+    def test_a_million_seeded_doubles(self):
+        # Half are any bit pattern; half have an exponent from 2**-14 to 2**54, around orjson's window.
+        rng = np.random.default_rng(20261019)
+        bits = rng.integers(0, 2**64, 10**6, np.uint64, endpoint=False)
+        exponents = rng.integers(1023 - 14, 1023 + 54, 5 * 10**5, np.uint64, endpoint=True)
+        bits[::2] = bits[::2] & np.uint64(0x800F_FFFF_FFFF_FFFF) | exponents << np.uint64(52)
+        values = bits.view(np.float64)
+        size = np.abs(values)
+        assert ((1e-4 <= size) & (size < 1e16)).sum() > 4 * 10**5  # written by orjson
+        assert repr_texts(values) == list(map(repr, values.tolist()))
+
+    def test_edges(self):
+        values = np.array([sign * v for v in EDGES for sign in (1.0, -1.0)])
+        assert repr_texts(values) == list(map(repr, values.tolist()))
+        assert twoslit.position_labels(values[::3]) == tuple(map(repr, values[::3].tolist()))  # not contiguous
+        assert repr_texts(np.array([])) == [] == list(twoslit.position_labels(np.array([])))
+
+    def test_int64_counts(self):
+        info = np.iinfo(np.int64)
+        values = np.array([info.min, -(10**16), -1, 0, 1, 10**15, 10**16, 10**17 + 1, info.max], np.int64)
+        assert repr_texts(values) == list(map(repr, values.tolist()))
 
 
 class TestAnalyticPattern:
