@@ -15,9 +15,9 @@ Tabular output uses 15 significant digits; JSON reports use shortest
 round-trip float rendering with sorted keys, so ``json.loads`` then
 ``json.dumps(sort_keys=True, indent=2)`` gives the same bytes. Both formats
 render each distinct value of a float column once and reuse the texts of an
-equal column; a report renders its counts from their int64 rows, and each
-label, kind and sign text is made once. Its per-bin numbers have the bytes of
-``repr``, from one orjson call per block (:func:`~ctxprob.twoslit.repr_texts`).
+equal column; a report writes each block of a context's counts from its int64
+row, and each label, kind and sign text is made once. Per-bin numbers have the
+bytes of ``repr``, one orjson call per block (:func:`~ctxprob.twoslit.repr_texts`).
 ``analyze`` reads plain ``label,count`` files (LF or CRLF line ends) as columns,
 any other with ``csv`` row by row, and reads back the labels with line breaks
 that it writes quoted. If the environment variable ``CTXPROB_OUT_DIR`` is set,
@@ -39,7 +39,7 @@ import stat
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import suppress
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -84,8 +84,8 @@ fmt15 = "%.15g".__mod__
 
 
 def _texts(columns: Sequence[np.ndarray], fmt, nan: str) -> list[tuple[str, ...]]:
-    """A tuple of texts per 1-D float64 (or int64) column: ``fmt`` of each value, ``nan`` for NaN.
-    Each distinct bit pattern of a column is formatted once (counts and counts / N repeat their
+    """A tuple of texts per 1-D float64 column: ``fmt`` of each value, ``nan`` for NaN.
+    Each distinct bit pattern of a column is formatted once (counts / N repeat their
     values), ``repr`` by one :func:`repr_texts` call, and a column equal bit for bit to an earlier
     one (a symmetric envelope) reuses its texts. A tuple of str is one object the garbage
     collector stops tracking, so it is not traversed again while a caller builds rows."""
@@ -301,18 +301,14 @@ class RecordColumns(dict):
 
 
 class JsonColumn(tuple):
-    """Values already rendered as JSON text; it renders as the list of them, or as one
-    field per record in a :class:`RecordColumns` node. So is each slice."""
-
-    def __getitem__(self, index):
-        item = super().__getitem__(index)
-        return JsonColumn(item) if type(index) is slice else item
+    """A tuple of values already rendered as JSON text; it renders as the list of them,
+    or as one field per record in a :class:`RecordColumns` node."""
 
 
 class JsonCounts(Mapping):
     """A context's counts ``{label: count}``, held as its own int64 row in JSON key order
-    with the ``labels`` in that order and ``texts``, their JSON texts, which it renders
-    from. A count set changes the rendered document, not the report."""
+    with the ``labels`` in that order and ``texts``, their JSON texts; a block's counts render
+    by one :func:`repr_texts` call. A count set changes the rendered document, not the report."""
 
     def __init__(self, labels: list[str], texts: list[str], row: np.ndarray):
         self.labels, self.texts, self.row = labels, texts, row
@@ -392,9 +388,9 @@ def _floats(values) -> np.ndarray:
     return values
 
 
-def _column(values) -> Sequence[str]:
-    """The JSON texts of a column: a :class:`JsonColumn`'s own, or a :func:`_floats` array's (NaN as ``null``)."""
-    return values if type(values) is JsonColumn else _texts([_floats(values)], repr, "null")[0]
+def _column(values, block: slice) -> Sequence[str]:
+    """The JSON texts of ``values[block]``: a :class:`JsonColumn`'s own, or a :func:`_floats` array's (NaN as ``null``)."""
+    return values[block] if type(values) is JsonColumn else _texts([_floats(values[block])], repr, "null")[0]
 
 
 #: Entries of every per-bin list (records, a column's values, counts, CSV lines) per chunk of text.
@@ -430,15 +426,15 @@ def _render(value, pad: str) -> Iterator[str]:
         names, parts = sorted(value), []
         for i, name in enumerate(names):
             head = ("," if i else "{") + "\n" + inner + "  " + encode_basestring_ascii(name) + ": "
-            parts += [head, lambda block, column=value[name]: _column(column[block])]
+            parts += [head, partial(_column, value[name])]
         yield from _entries(pad, "[]", len(value[names[0]]), [*parts, "\n" + inner + "}"])
     elif kind is JsonCounts:
-        parts = [value.texts.__getitem__, ": ", lambda block: _texts([value.row[block]], repr, "")[0]]
+        parts = [value.texts.__getitem__, ": ", lambda block: repr_texts(value.row[block])]
         yield from _entries(pad, "{}", len(value.row), parts)
     else:  # a column's list
         if type(value) is not JsonColumn:
             _floats(value)  # json's errors for any other value, before the first chunk
-        yield from _entries(pad, "[]", len(value), [lambda block: _column(value[block])])
+        yield from _entries(pad, "[]", len(value), [partial(_column, value)])
 
 
 def render_json(doc: dict) -> str:

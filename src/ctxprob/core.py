@@ -45,6 +45,19 @@ def ordered_sum(values) -> float:
         return float(np.cumsum(values, dtype=float)[-1]) if len(values) else 0.0
 
 
+class FrozenDict(dict):
+    """A dict that refuses every write once made, so a record's checked copy stays as checked.
+    It pickles and copies as a new one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One invariant violation, reported as data rather than an exception."""
@@ -78,13 +91,13 @@ class OutcomeSpace:
 
 @dataclass(frozen=True)
 class ContextualDistribution:
-    """Outcome distribution measured under one specific context."""
+    """Outcome distribution measured under one specific context; ``probs`` is a read-only copy."""
 
     context_id: str
     probs: dict[str, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", dict(self.probs))
+        object.__setattr__(self, "probs", FrozenDict(self.probs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,6 +139,7 @@ class EnsembleCounts:
     histogram was collected; systems lost in transit appear in the difference
     ``total_emitted - total_detected``. Each count is an ``int >= 0`` (not a bool, float,
     str or numpy integer) and their sum is below 2**63, or ``ValueError`` names the context.
+    ``counts`` is a read-only copy, so the total stays theirs.
     """
 
     context_id: str
@@ -134,7 +148,7 @@ class EnsembleCounts:
     total_detected: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", dict(self.counts))
+        object.__setattr__(self, "counts", FrozenDict(self.counts))
         values = self.counts.values()
         if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
             label, n = next((b, n) for b, n in self.counts.items() if type(n) is not int or n < 0)

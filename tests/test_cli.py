@@ -217,6 +217,11 @@ class TestPattern:
         assert "phase.kind" in err
         assert "grid.bins" in err
 
+    def test_an_unknown_envelope_kind_is_refused(self, capsys, tmp_path):
+        envelopes = {**SCENARIO["envelopes"], "slit1": {"kind": "x"}}
+        code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, envelopes=envelopes))
+        assert (code, out, err) == (2, "", "error: envelopes.slit1.kind: unknown envelope kind 'x'\n")
+
     def test_invariant_violations_are_field_addressed_too(self, capsys, tmp_path):
         path = write_scenario(tmp_path, grid={"bins": -3, "x_min": 0.0, "x_max": 1.0},
                               phase={"kind": "freewave", "p1": 1.0, "p2": -1.0, "h": 1.0})
@@ -866,12 +871,15 @@ class TestRenderJson:
     def test_matches_json_dumps(self, doc):
         assert cli.render_json(doc) == canonical(plain(doc))
 
-    @pytest.mark.parametrize("array", [np.array([1, 2, 3]), np.array([1.5, 2.5], np.float32)],
-                             ids=["int64", "float32"])
+    @pytest.mark.parametrize("array", [
+        np.array([1, 2, 3]), np.array([1.5, 2.5], np.float32), np.array([1.0, 2.0], object),
+        np.array([[1.0, 2.0]]), np.array([], np.int64),
+    ], ids=["int64", "float32", "object", "2-D float64", "empty int64"])
     def test_other_arrays_raise_as_json_does(self, array):
         with pytest.raises(TypeError) as expected:
             canonical({"n": array})
-        for doc in ({"n": array}, {"n": cli.RecordColumns({"a": array})}):
+        # a column of a node with no rows has no value to render, so only a list of them raises
+        for doc in [{"n": array}] + [{"n": cli.RecordColumns({"a": array})}] * bool(len(array)):
             with pytest.raises(TypeError) as raised:
                 cli.render_json(doc)
             assert str(raised.value) == str(expected.value)
@@ -1027,7 +1035,7 @@ def adapter_document(report):
     """The report document with each counts node replaced by the dict of its context's adapter."""
     doc = plain(cli.report_document(report))
     for counts in (report.counts_s, report.counts_s1, report.counts_s2):
-        doc["counts"][counts.context_id]["counts"] = counts.counts
+        doc["counts"][counts.context_id]["counts"] = dict(counts.counts)
         assert doc["counts"][counts.context_id]["total_detected"] == counts.total_detected
     return doc
 

@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import math
 import operator
+import pickle
 import re
 
 import numpy as np
@@ -131,6 +134,43 @@ class TestEnsembleCounts:
         assert counts("S", a=3, b=0, c=4).total_detected == 7
         assert counts("S", a=3, b=0, c=4) == counts("S", c=4, a=3, b=0)
         assert EnsembleCounts("S", {}, 0).total_detected == 0
+
+
+RECORDS = {
+    "counts": lambda: EnsembleCounts("S", {"a": 6, "b": 4}, 10),
+    "probs": lambda: ContextualDistribution("S", {"a": 0.6, "b": 0.4}),
+}
+
+
+@pytest.mark.parametrize("field", RECORDS)
+class TestRecordsKeepWhatTheyChecked:
+    def test_a_write_after_construction_is_refused(self, field):
+        record = RECORDS[field]()
+        mapping = getattr(record, field)
+        writes = [
+            lambda m: m.__setitem__("a", 1.9), lambda m: m.__delitem__("a"), lambda m: m.update(a=1),
+            lambda m: m.pop("a"), lambda m: m.popitem(), lambda m: m.clear(),
+            lambda m: m.setdefault("c", 1), lambda m: m.__ior__({"a": 1}),
+        ]
+        for write in writes:
+            with pytest.raises(TypeError, match="is read-only$"):
+                write(mapping)
+        assert record == RECORDS[field]()
+        if field == "counts":  # the total the record checked is still the counts' sum
+            assert record.total_detected == sum(record.counts.values()) == 10
+
+    def test_equality_replace_pickle_and_copies_still_work(self, field):
+        record = RECORDS[field]()
+        mapping = getattr(record, field)
+        assert mapping == dict(mapping) and dict(mapping) == mapping and type(dict(mapping)) is dict
+        assert pickle.loads(pickle.dumps(mapping)) == mapping
+        copies = [pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record), dataclasses.replace(record)]
+        for other in copies:
+            assert other == record and type(getattr(other, field)) is type(mapping)
+            with pytest.raises(TypeError, match="is read-only$"):
+                getattr(other, field)["a"] = 1
+        changed = dataclasses.replace(record, **{field: {"a": 1}})
+        assert getattr(changed, field) == {"a": 1} != mapping
 
 
 class TestEstimateSplitting:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 from ctxprob import (
     Boundary,
+    ConsistencyError,
     ContextualDistribution,
     ContextualModel,
     DegenerateBranch,
@@ -141,6 +142,10 @@ class TestClassify:
     def test_nan_is_rejected(self, make):
         with pytest.raises(ValueError):
             make()
+
+    def test_hyperbolic_sign_is_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="^sign must be -1 or \\+1, got 0$"):
+            Hyperbolic(1.0, 0)
 
     @given(lam=st.floats(-0.999999, 0.999999))
     def test_trig_round_trip(self, lam):
@@ -427,6 +432,12 @@ class TestDecomposeArrays:
             else:
                 assert table.kind[i] == BOUNDARY and math.isnan(table.theta[i])
                 assert table.sign[i] == 0
+
+    def test_perturbation_forms_that_disagree_are_refused(self):
+        # At pS = 1e5 the rounding of the two delta forms is beyond their 1e-12 slack;
+        # validated inputs never get there.
+        with pytest.raises(ConsistencyError, match=r"^perturbation forms disagree at pS=100000\.0, p1=0\.1, p2=0\.3"):
+            decompose_arrays(HALF, np.array([1e5]), np.array([0.1]), np.array([0.3]))
 
     def test_tolerance_must_be_positive(self):
         p = np.array([0.5, 0.5])

@@ -49,3 +49,35 @@ def test_importing_the_cli_leaves_orjson_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(ctxprob.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+FAILING_PROPERTY = '''
+import warnings
+
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_a_failing_property(n):
+    assert n < 0
+
+
+def test_a_passing_test_after_it():
+    pass
+
+
+def test_a_deprecation_warning_still_fails():
+    warnings.warn("deprecated", DeprecationWarning)
+'''
+
+
+def test_a_failing_property_test_is_reported(tmp_path):
+    # On a failure hypothesis imports libcst to print a patch, and libcst warns a
+    # DeprecationWarning of its own; the warning filters must let the session go on.
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+               str(tmp_path / "test_property.py")]
+    result = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].startswith("2 failed, 1 passed"), result.stdout

@@ -77,6 +77,12 @@ class TestScenarioValidation:
         doubled = tuple(2 * p for p in sc.envelope2)
         assert "envelope2.normalized" in invariants(dataclasses.replace, sc, envelope2=doubled)
 
+    def test_negative_envelope_entry_that_still_sums_to_one(self):
+        sc = gaussian_scenario(bins=4)
+        assert problems(dataclasses.replace, sc, envelope1=(-0.25, 0.5, 0.5, 0.25)) == [
+            ("envelope1.nonnegative", "envelope has negative entries"),
+        ]
+
     def test_negative_counts_and_seed(self):
         names = set(invariants(gaussian_scenario, n_emitted=-1, seed=-5, runs=0))
         assert {"sampling.n_emitted", "sampling.runs", "sampling.seed"} <= names
@@ -479,6 +485,8 @@ class TestRunExperiment:
         second = run_experiment(sc)
         parallel = run_experiment(sc, workers=4)
         assert first == second == parallel
+        assert (first == object()) is False and first != object()  # same_fields gives NotImplemented
+        assert (first.table == object()) is False
 
     def test_runs_aggregate_emissions(self):
         sc = gaussian_scenario(n_emitted=1000, runs=3, seed=9)
