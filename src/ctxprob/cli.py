@@ -39,7 +39,7 @@ import stat
 import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import suppress
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -165,9 +165,8 @@ def _parse_envelope(doc: dict, path: str, grid: GridSpec | None, errors: list):
         sigma = _get(doc, path, "sigma", float, errors)
         if None in (mean, sigma):
             return None
-        try:
-            _check_gaussian(mean, sigma)  # checked before the grid is known, reported once
-            return gaussian_envelope(grid, mean, sigma) if grid is not None else None
+        try:  # checked once: by gaussian_envelope, or alone before the grid is known
+            return gaussian_envelope(grid, mean, sigma) if grid is not None else _check_gaussian(mean, sigma)
         except ValueError as exc:
             errors.append((path, str(exc)))
             return None
@@ -295,9 +294,9 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
 
 
 class RecordColumns(dict):
-    """Records held as columns: ``node[name][i]`` is field ``name`` of record ``i``.
-    It renders as the list of records. Each column is a 1-D float64 array, whose NaN
-    renders as ``null``, or a :class:`JsonColumn`."""
+    """Records held as columns: ``node[name][i]`` is field ``name`` of record ``i``; it renders as the
+    list of records. Each column, a 1-D float64 array (NaN renders as ``null``) or a :class:`JsonColumn`,
+    has the node's one length, and each is checked before the node's first chunk."""
 
 
 class JsonColumn(tuple):
@@ -378,19 +377,19 @@ def report_document(report: ExperimentReport) -> dict:
     }
 
 
-def _floats(values) -> np.ndarray:
-    """``values`` if a 1-D float64 array with no +-inf, else json's ``TypeError`` or ``ValueError``."""
-    if type(values) is not np.ndarray or values.dtype != float or values.ndim != 1:
-        raise TypeError(f"Object of type {type(values).__name__} is not JSON serializable")
+def _column(values, rows: int | None = None):
+    """``values`` checked once, and the callable that gives a block's JSON texts of it: a
+    :class:`JsonColumn`'s own, or a 1-D float64 array's with NaN as ``null``, of ``rows`` entries
+    if given. Anything else raises json's own ``TypeError``, and a +-inf json's ``ValueError``."""
+    kind = type(values)
+    if kind is JsonColumn and rows in (None, len(values)):
+        return values.__getitem__
+    if kind is not np.ndarray or values.dtype != float or values.ndim != 1 or rows not in (None, len(values)):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     infinite = values[np.isinf(values)]
     if len(infinite):  # json's own error, which names the value when indenting
         json.dumps(infinite[0].item(), indent=2, allow_nan=False)
-    return values
-
-
-def _column(values, block: slice) -> Sequence[str]:
-    """The JSON texts of ``values[block]``: a :class:`JsonColumn`'s own, or a :func:`_floats` array's (NaN as ``null``)."""
-    return values[block] if type(values) is JsonColumn else _texts([_floats(values[block])], repr, "null")[0]
+    return lambda block: _texts([values[block]], repr, "null")[0]
 
 
 #: Entries of every per-bin list (records, a column's values, counts, CSV lines) per chunk of text.
@@ -422,33 +421,31 @@ def _render(value, pad: str) -> Iterator[str]:
         yield "\n" + pad + "}" if value else "{}"
     elif value is None or kind in (str, int, float, bool):
         yield json.dumps(value, indent=2, allow_nan=False)
-    elif kind is RecordColumns:  # a record: each field's head and text in turn, then the close
-        names, parts = sorted(value), []
-        for i, name in enumerate(names):
+    elif kind is RecordColumns and value:  # a record: each field's head and text in turn, then the close
+        names, parts, rows = sorted(value), [], len(value[min(value)])  # the first column's length
+        for i, name in enumerate(names):  # each column checked before the first chunk
             head = ("," if i else "{") + "\n" + inner + "  " + encode_basestring_ascii(name) + ": "
-            parts += [head, partial(_column, value[name])]
-        yield from _entries(pad, "[]", len(value[names[0]]), [*parts, "\n" + inner + "}"])
+            parts += [head, _column(value[name], rows)]
+        yield from _entries(pad, "[]", rows, [*parts, "\n" + inner + "}"])
     elif kind is JsonCounts:
         parts = [value.texts.__getitem__, ": ", lambda block: repr_texts(value.row[block])]
         yield from _entries(pad, "{}", len(value.row), parts)
-    else:  # a column's list
-        if type(value) is not JsonColumn:
-            _floats(value)  # json's errors for any other value, before the first chunk
-        yield from _entries(pad, "[]", len(value), [partial(_column, value)])
+    else:  # a column's list, checked before its length is taken; a node of no columns raises here
+        texts = _column(value)
+        yield from _entries(pad, "[]", len(value), [texts])
 
 
 def render_json(doc: dict) -> str:
     """Canonical JSON rendering of a report: sorted keys, two-space indent, newline.
 
-    ``doc`` is a dict with str keys whose values are such dicts, scalars
-    (``None``, ``bool``, ``int``, ``float``, ``str``) or column nodes: a 1-D
-    float64 array renders as the list of its values with NaN as ``null``, a
-    :class:`JsonColumn` as the list of its texts, a :class:`RecordColumns`
-    node as its records and a :class:`JsonCounts` node as its dict. The text
-    equals ``json.dumps(sort_keys=True, indent=2, allow_nan=False) + "\\n"``
-    of the plain document, and a non-finite float raises the same
-    ``ValueError``. Any other value (a list, a tuple, a subclass, a non-str
-    key, another array) raises ``TypeError``.
+    ``doc`` is a dict with str keys whose values are such dicts, scalars (``None``, ``bool``,
+    ``int``, ``float``, ``str``) or column nodes: a 1-D float64 array renders as the list of its
+    values with NaN as ``null``, a :class:`JsonColumn` as the list of its texts, a
+    :class:`RecordColumns` node as its records and a :class:`JsonCounts` node as its dict. The
+    text equals ``json.dumps(sort_keys=True, indent=2, allow_nan=False) + "\\n"`` of the plain
+    document, and a non-finite float raises the same ``ValueError``. Any other value (a list, a
+    tuple, a subclass, a non-str key, another array, a node of no columns or of columns of more
+    than one length) raises ``TypeError``. Each column is checked before its node's first chunk.
     """
     return "".join(chain(_render(doc, ""), ["\n"]))
 

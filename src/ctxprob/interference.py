@@ -37,6 +37,7 @@ concurrently without restriction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -179,9 +180,14 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     return delta / (2.0 * math.sqrt(w1 * w2))
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float (a numpy float64 is one), and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def check_tolerance(tol: float) -> float:
-    """``tol`` if it is a finite, positive classification tolerance; ``ValueError`` if not."""
-    if not 0.0 < tol < math.inf:
+    """``tol`` if it is a finite, positive tolerance, an int or a float; ``ValueError`` if not."""
+    if not (is_number(tol) and 0.0 < tol <= sys.float_info.max):  # an int beyond the float range too
         raise ValueError(f"classification tolerance must be finite and positive, got {tol!r}")
     return tol
 

@@ -51,7 +51,7 @@ from .core import (
 )
 from .errors import ScenarioError, ZeroEnsemble
 from .interference import DEFAULT_CLASSIFY_TOL, DecompositionTable, check_tolerance, decompose_arrays
-from .interference import read_only, same_fields
+from .interference import is_number, read_only, same_fields
 
 CONTEXT_IDS = ("S", "S1", "S2")
 
@@ -216,7 +216,7 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
     ends = {"x_min": grid.x_min, "x_max": grid.x_max}
     wrong = [
         Violation(f"grid.{name}", f"must be an int or a float, got {value!r}")
-        for name, value in ends.items() if isinstance(value, bool) or not isinstance(value, (int, float))
+        for name, value in ends.items() if not is_number(value)
     ]
     if wrong:  # the range of a non-number is not checked
         out.extend(wrong)
@@ -244,6 +244,21 @@ def _length_problem(values: np.ndarray, noun: str, bins: int) -> str | None:
     return f"{len(values)} {noun} for {bins} bins" if len(values) != bins else None
 
 
+def _free_wave_problems(phase: FreeWavePhase) -> list[Violation]:
+    """Each field an int or a float, as a grid end is; the momenta within the float range (a NaN
+    or infinite one makes theta non-finite), the scaling finite and positive."""
+    out = []
+    for name in ("momentum1", "momentum2", "scaling"):
+        value = getattr(phase, name)
+        if not is_number(value):
+            out.append(Violation(f"phase.{name}", f"must be an int or a float, got {value!r}"))
+        elif name == "scaling" and not 0.0 < value <= sys.float_info.max:
+            out.append(Violation("phase.scaling", f"scaling must be finite and positive, got {value!r}"))
+        elif isinstance(value, int) and abs(value) > sys.float_info.max:
+            out.append(Violation(f"phase.{name}", f"must be finite, got {value!r}"))
+    return out
+
+
 def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
     """The problems of every field but the grid, which checks itself; a :class:`TwoSlitScenario`
     raises :class:`ScenarioError` of them when made. Counts and the seed are plain ``int``s."""
@@ -266,10 +281,8 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
         out.append(Violation("phase.kind", f"must be an ExplicitPhase or a FreeWavePhase, got {phase!r}"))
     elif isinstance(phase, ExplicitPhase) and (problem := _length_problem(phase.values, "phases", grid.bins)):
         out.append(Violation("phase.length", problem))
-    elif isinstance(phase, FreeWavePhase) and not 0.0 < phase.scaling < math.inf:
-        out.append(
-            Violation("phase.scaling", f"scaling must be finite and positive, got {phase.scaling!r}")
-        )
+    elif isinstance(phase, FreeWavePhase) and (wrong := _free_wave_problems(phase)):
+        out.extend(wrong)
     elif not out:
         # Evaluated only once the envelopes are valid. Free-wave
         # phases overflow where momenta, positions and scaling multiply out of range.

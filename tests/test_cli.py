@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ctxprob import ScenarioError, cli
+from ctxprob import ScenarioError, cli, twoslit
 from ctxprob.core import EnsembleCounts, OutcomeSpace
 from ctxprob.interference import KIND_LABELS
 from ctxprob.twoslit import MAX_RUNS, decompose_empirical, interference_pattern, run_experiment
@@ -67,6 +67,24 @@ def test_each_record_is_checked_once(capsys, tmp_path, validation_calls, argv, s
     code, _, _ = run_cli(capsys, *argv, write_scenario(tmp_path))
     assert code == 0
     assert validation_calls == {"validate_scenario": scenario_checks, "validate_grid": 1}
+
+
+def test_gaussian_parameters_are_checked_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(mean, sigma, check=twoslit._check_gaussian):
+        calls.append((mean, sigma))
+        return check(mean, sigma)
+
+    for module in (twoslit, cli):
+        monkeypatch.setattr(module, "_check_gaussian", counted)
+    assert run_cli(capsys, "pattern", write_scenario(tmp_path))[0] == 0
+    assert calls == [(0.0, 1.0), (0.0, 1.0)]  # one per envelope
+    message = "envelopes.slit1: sigma must be positive and finite and mean finite, got sigma -1.0, mean 0.0"
+    envelopes = {**SCENARIO["envelopes"], "slit1": {"kind": "gaussian", "mean": 0.0, "sigma": -1.0}}
+    for grid in (SCENARIO["grid"], {**SCENARIO["grid"], "bins": 0.5}):  # with a grid, and without one
+        code, _, err = run_cli(capsys, "pattern", write_scenario(tmp_path, grid=grid, envelopes=envelopes))
+        assert (code, err.count("envelopes."), f"error: {message}\n" in err) == (2, 1, True)
 
 
 #: 4096 bins on [-0.001, 0.003]: 204 midpoints near 0 print in exponent form
@@ -878,11 +896,38 @@ class TestRenderJson:
     def test_other_arrays_raise_as_json_does(self, array):
         with pytest.raises(TypeError) as expected:
             canonical({"n": array})
-        # a column of a node with no rows has no value to render, so only a list of them raises
-        for doc in [{"n": array}] + [{"n": cli.RecordColumns({"a": array})}] * bool(len(array)):
+        # a column is checked when its node is rendered, so an empty one raises as a list of it does
+        for doc in [{"n": array}, {"n": cli.RecordColumns({"a": array})}]:
             with pytest.raises(TypeError) as raised:
                 cli.render_json(doc)
             assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("value", [object(), np.array(1.0)], ids=["object", "0-d float64"])
+    def test_a_value_without_a_length_raises_as_json_does(self, value):
+        with pytest.raises(TypeError) as expected:
+            canonical({"n": value})
+        with pytest.raises(TypeError) as raised:
+            cli.render_json({"n": value})
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("node", [
+        cli.RecordColumns({"a": np.array([1.0, 2.0]), "b": np.array([1.0])}),
+        cli.RecordColumns({"a": np.array([1.0, 2.0]), "b": cli.JsonColumn(["1"])}),
+        cli.RecordColumns({"a": cli.JsonColumn(["1"]), "b": np.array([1.0, 2.0])}),
+        cli.RecordColumns(),
+    ], ids=["float64 2 and 1", "float64 2, texts 1", "texts 1, float64 2", "no columns"])
+    def test_a_node_without_one_length_raises(self, node):
+        with pytest.raises(TypeError, match="^Object of type [A-Za-z]+ is not JSON serializable$"):
+            cli.render_json({"n": node})
+
+    def test_every_column_is_checked_before_the_first_chunk(self):
+        values = np.array([1.0, 2.0, math.nan, 4.0, math.inf])  # +inf in the last block of 2 rows
+        node = cli.RecordColumns({"a": cli.JsonColumn(["1"] * 5), "v": values})
+        with pytest.raises(ValueError) as expected:
+            canonical(plain(node))
+        with mock.patch.object(cli, "BLOCK_ROWS", 2), pytest.raises(ValueError) as raised:
+            next(cli._render(node, ""))
+        assert str(raised.value) == str(expected.value)
 
     def test_json_column_renders_as_its_texts_anywhere(self):
         column = cli.JsonColumn(["1", '"a"', "null"])

@@ -126,7 +126,9 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(0.5, tol=0.0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [
+        0.0, -1e-9, math.nan, math.inf, "x", None, True, pytest.param(10**400, id="10**400"),
+    ])
     def test_one_tolerance_rule_for_classify_and_the_kernel(self, tol):
         p = np.array([0.5, 0.5])
         for check in (check_tolerance, lambda t: classify(0.5, t), lambda t: decompose_arrays(HALF, p, p, p, t)):

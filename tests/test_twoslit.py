@@ -161,6 +161,29 @@ class TestScenarioValidation:
         ]
         assert problems(GridSpec, bins, x_min, x_max) == expected
 
+    @pytest.mark.parametrize("fields, expected", [
+        ({"momentum1": "a"}, [("phase.momentum1", "must be an int or a float, got 'a'")]),
+        ({"momentum1": None}, [("phase.momentum1", "must be an int or a float, got None")]),
+        ({"momentum2": True}, [("phase.momentum2", "must be an int or a float, got True")]),
+        ({"scaling": "a"}, [("phase.scaling", "must be an int or a float, got 'a'")]),
+        ({"momentum2": "b", "scaling": None}, [
+            ("phase.momentum2", "must be an int or a float, got 'b'"),
+            ("phase.scaling", "must be an int or a float, got None"),
+        ]),
+        ({"momentum1": 10**400}, [("phase.momentum1", f"must be finite, got {10**400!r}")]),
+        ({"scaling": 10**400}, [("phase.scaling", f"scaling must be finite and positive, got {10**400!r}")]),
+    ], ids=[
+        "momentum1 str", "momentum1 None", "momentum2 bool", "scaling str", "two fields", "momentum1 10**400",
+        "scaling 10**400",
+    ])
+    def test_free_wave_fields_are_numbers(self, monkeypatch, fields, expected):
+        def unreachable(self):
+            raise AssertionError("theta evaluated before the phase's fields were checked")
+
+        monkeypatch.setattr(TwoSlitScenario, "phase_table", unreachable)
+        phase = FreeWavePhase(**{"momentum1": 1.0, "momentum2": -1.0, **fields})
+        assert problems(gaussian_scenario, phase=phase) == expected
+
     def test_grid_ends_beyond_the_float_range(self):
         assert problems(GridSpec, 4, 0, 10**400) == [
             ("grid.range", f"x_min 0 and x_max {10**400!r} must be finite")
@@ -507,7 +530,9 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="finite and positive"):
             run_experiment(gaussian_scenario(bins=16, n_emitted=1000), tol=math.inf)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -0.1])
+    @pytest.mark.parametrize("tol", [
+        math.inf, math.nan, 0.0, -0.1, "x", None, True, pytest.param(10**400, id="10**400"),
+    ])
     def test_tolerance_is_checked_before_sampling(self, monkeypatch, tol):
         def unreachable(*args):
             raise AssertionError("sampled before the tolerance was checked")
