@@ -151,7 +151,7 @@ def _per_bin(doc: dict, path: str, grid: GridSpec | None, errors: list, build):
         return None
     try:
         return build(values)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         errors.append((f"{path}.values", str(exc)))
         return None
 

@@ -21,7 +21,7 @@ streams.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,11 @@ DISTRIBUTION_SUM_TOL = 1e-9
 
 #: Absolute tolerance on ``c1 + c2 - 1`` for exact splitting coefficients.
 EXACT_COEFF_TOL = 1e-12
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is an int or a float (a numpy float64 is one), and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
 def ordered_sum(values) -> float:
@@ -173,8 +178,8 @@ def validate_space(space: OutcomeSpace) -> list[Violation]:
 
 
 def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> list[Violation]:
-    """Check that a distribution assigns a probability in [0, 1] to exactly the declared bins,
-    and that they sum to 1."""
+    """Check that a distribution assigns a number in [0, 1] to exactly the declared bins, and that
+    the finite numbers sum to 1. Never raises: a value of any type is reported, not refused."""
     out: list[Violation] = []
     declared = set(space.bins)
     keys = set(dist.probs)
@@ -185,10 +190,12 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
         message = f"context {dist.context_id!r} assigns probability to undeclared bin {extra!r}"
         out.append(Violation("distribution.covers_space", message, bin=extra))
     for label, p in dist.probs.items():
-        if not (0.0 <= p <= 1.0):
-            message = f"context {dist.context_id!r} probability {p!r} is outside [0, 1]"
+        if not (is_number(p) and 0.0 <= p <= 1.0):
+            what = "is outside [0, 1]" if is_number(p) else "is not a number"
+            message = f"context {dist.context_id!r} probability {p!r} {what}"
             out.append(Violation("distribution.range", message, value=p, bin=label))
-    total = ordered_sum([dist.probs[label] for label in space.bins if label in dist.probs])
+    values = (dist.probs[label] for label in space.bins if label in dist.probs)
+    total = ordered_sum([p for p in values if is_number(p) and abs(p) <= sys.float_info.max])
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
         out.append(
             Violation(
@@ -204,20 +211,21 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
 def validate_model(model: ContextualModel) -> list[Violation]:
     """Check every invariant of a contextual model.
 
-    Returns an empty list iff the model is valid. Violations are data: an
-    invalid model can be constructed and inspected, it just cannot be fed to
-    the decomposition operations.
+    Returns an empty list iff the model is valid, and never raises. Violations are data: an
+    invalid model, a str or None coefficient or probability too, can be constructed and
+    inspected; it just cannot be fed to the decomposition operations.
     """
     out = validate_space(model.space)
     for dist in (model.dist_s, model.dist_s1, model.dist_s2):
         out.extend(validate_distribution(dist, model.space))
-    coeffs = model.coeffs
+    coeffs, finite = model.coeffs, True
     for name, c in (("c1", coeffs.c1), ("c2", coeffs.c2)):
-        if not math.isfinite(c):  # NaN compares False, so the checks below pass it
+        if not (is_number(c) and abs(c) <= sys.float_info.max):  # NaN fails too, as an int beyond floats does
+            finite = False
             out.append(Violation("coefficients.finite", f"{name} = {c!r} is not finite", value=c))
         elif c < 0.0:
             out.append(Violation("coefficients.nonnegative", f"{name} = {c!r} is negative", value=c))
-    if not coeffs.empirical and coeffs.deviation > EXACT_COEFF_TOL:
+    if finite and not coeffs.empirical and coeffs.deviation > EXACT_COEFF_TOL:
         out.append(
             Violation(
                 "coefficients.alternative_condition",

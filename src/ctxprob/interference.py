@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ContextualModel, SplittingCoefficients, validate_model
+from .core import ContextualModel, SplittingCoefficients, is_number, validate_model
 from .errors import ConsistencyError, DegenerateBranch, OutOfRange
 
 #: Default half-width of the band around ``|lambda| = 1`` classified Boundary.
@@ -59,7 +59,7 @@ class Trigonometric:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.theta <= math.pi):
+        if not (is_number(self.theta) and 0.0 <= self.theta <= math.pi):
             raise ValueError(f"trigonometric phase {self.theta!r} outside [0, pi]")
 
 
@@ -75,9 +75,9 @@ class Hyperbolic:
     sign: int
 
     def __post_init__(self) -> None:
-        if not self.theta >= 0.0:
+        if not (is_number(self.theta) and self.theta >= 0.0):
             raise ValueError(f"hyperbolic phase {self.theta!r} is negative")
-        if self.sign not in (-1, 1):
+        if isinstance(self.sign, bool) or self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign!r}")
 
 
@@ -180,11 +180,6 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     return delta / (2.0 * math.sqrt(w1 * w2))
 
 
-def is_number(value) -> bool:
-    """Whether ``value`` is an int or a float (a numpy float64 is one), and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
 def check_tolerance(tol: float) -> float:
     """``tol`` if it is a finite, positive tolerance, an int or a float; ``ValueError`` if not."""
     if not (is_number(tol) and 0.0 < tol <= sys.float_info.max):  # an int beyond the float range too
@@ -202,6 +197,8 @@ def classify(lam: float, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceKind:
     branch is picked.
     """
     check_tolerance(tol)
+    if not is_number(lam):
+        raise ValueError(f"cannot classify {lam!r}, which is not a number")
     if math.isnan(lam):
         raise ValueError("cannot classify a NaN coefficient")
     mag = abs(lam)
@@ -238,7 +235,7 @@ def forward_hyp(
         OutOfRange: if the value falls outside [0, 1], meaning the requested
             hyperbolic transition is not realizable as a probability.
     """
-    if sign not in (-1, 1):
+    if isinstance(sign, bool) or sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
     cross = 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
     value = coeffs.c1 * p1 + coeffs.c2 * p2 + sign * cross * math.cosh(theta)

@@ -46,12 +46,13 @@ from .core import (
     OutcomeSpace,
     SplittingCoefficients,
     Violation,
+    is_number,
     ordered_sum,
     splitting_from_totals,
 )
 from .errors import ScenarioError, ZeroEnsemble
 from .interference import DEFAULT_CLASSIFY_TOL, DecompositionTable, check_tolerance, decompose_arrays
-from .interference import is_number, read_only, same_fields
+from .interference import read_only, same_fields
 
 CONTEXT_IDS = ("S", "S1", "S2")
 
@@ -316,20 +317,17 @@ def _refuse(violations: list[Violation]) -> None:
 def interference_pattern(p1: np.ndarray, p2: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Raw per-bin pattern ``(1/2) * (p1 + p2 + 2*sqrt(p1*p2)*cos(theta))``.
 
-    The values are a squared modulus up to float dust; they are neither
-    clipped at 0 nor renormalized over the grid.
+    The values are a squared modulus up to float dust: above -1e-15 for a valid scenario, as a
+    property test holds. They are clipped at 0 only for sampling, and not renormalized here.
     """
     return 0.5 * (p1 + p2 + 2.0 * np.sqrt(p1 * p2) * np.cos(theta))
 
 
 def _distributions(scenario: TwoSlitScenario) -> tuple[tuple[np.ndarray, ...], float]:
-    """The pattern and both envelopes renormalized over the grid (each context's
-    sampling distribution, in ``CONTEXT_IDS`` order), and the pattern's raw grid sum."""
+    """The pattern clipped at 0 and both envelopes, renormalized over the grid (each context's
+    sampling distribution, in ``CONTEXT_IDS`` order), and the clipped pattern's grid sum."""
     p1, p2 = scenario.envelope1, scenario.envelope2
     raw = interference_pattern(p1, p2, scenario.phase_table())
-    low = float(raw.min())
-    if low < -1e-12:
-        raise ScenarioError([("pattern", f"negative probability {low!r} in the pattern")])
     raw = np.maximum(raw, 0.0)  # clip float dust; the expression is a squared modulus
     total = float(raw.sum())
     if total <= 0.0:

@@ -444,6 +444,17 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == f"error: {field}: {message}\n"
 
+    @pytest.mark.parametrize("overrides, err", [
+        ({"envelopes": {"slit1": {"kind": "gaussian", "sigma": 1.0}, "slit2": {"kind": "uniform"}}},
+         "error: envelopes.slit1.mean: missing\n"),
+        ({"phase": {"values": [0.0] * 16}}, "error: phase.kind: missing\n"),
+        ({"phase": {"kind": "freewave", "p2": -2.5, "h": "x"}},
+         "error: phase.p1: missing\nerror: phase.h: expected a number, got 'x'\n"),
+    ], ids=["gaussian-mean", "phase-kind", "freewave-p1-and-h"])
+    def test_missing_fields_exit_2(self, capsys, tmp_path, overrides, err):
+        code, out, stderr = run_cli(capsys, "pattern", write_scenario(tmp_path, **overrides))
+        assert (code, out, stderr) == (2, "", err)
+
     @pytest.mark.parametrize("text, message", [
         (b'{"grid": \xff}', "cannot read scenario file"),
         (b'{"grid": 1' + b"0" * 5000 + b"}", "invalid JSON"),

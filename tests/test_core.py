@@ -17,6 +17,7 @@ from ctxprob import (
     OutcomeSpace,
     SplittingCoefficients,
     ZeroEnsemble,
+    decompose,
     empirical_distribution,
     estimate_splitting,
     validate_model,
@@ -71,13 +72,29 @@ class TestValidateModel:
 
     @pytest.mark.parametrize("c1, empirical", [
         (math.nan, False), (math.inf, True), (math.nan, True),
-    ], ids=["nan-exact", "inf-empirical", "nan-empirical"])
+        ("0.5", False), (None, True), (True, False), (False, True), (10**400, False),
+    ], ids=["nan-exact", "inf-empirical", "nan-empirical", "str-exact", "none-empirical", "true-exact",
+            "false-empirical", "int-beyond-float-exact"])
     def test_non_finite_coefficient_rejected(self, c1, empirical):
+        # a coefficient that is not a number is reported too, never raised on
         model = three_bin_model()
         coeffs = SplittingCoefficients(c1, 0.5, empirical=empirical)
         model = ContextualModel(model.space, model.dist_s, model.dist_s1, model.dist_s2, coeffs)
-        finite = [v for v in validate_model(model) if v.invariant == "coefficients.finite"]
-        assert [v.message for v in finite] == [f"c1 = {c1!r} is not finite"]
+        assert [str(v) for v in validate_model(model)] == [f"coefficients.finite: c1 = {c1!r} is not finite"]
+        with pytest.raises(ValueError, match="^cannot decompose an invalid model: coefficients.finite: "):
+            decompose(model)
+
+    @pytest.mark.parametrize("p", ["0.2", None, True, False], ids=repr)
+    def test_a_probability_that_is_not_a_number_is_a_violation(self, p):
+        model = three_bin_model()
+        dist = ContextualDistribution("S1", {"a": p, "b": 0.5, "c": 0.3})
+        model = ContextualModel(model.space, model.dist_s, dist, model.dist_s2, model.coeffs)
+        assert [str(v) for v in validate_model(model)] == [
+            f"distribution.range [bin a]: context 'S1' probability {p!r} is not a number",
+            "distribution.normalized: context 'S1' probabilities sum to 0.8, not 1 within 1e-09",
+        ]
+        with pytest.raises(ValueError, match="^cannot decompose an invalid model: distribution.range "):
+            decompose(model)
 
     def test_missing_bin_reported(self):
         space = OutcomeSpace(("a", "b"))

@@ -140,14 +140,33 @@ class TestClassify:
         lambda: classify(math.nan),
         lambda: Hyperbolic(math.nan, 1),
         lambda: Trigonometric(math.nan),
-    ], ids=["classify-tol", "classify-lambda", "hyperbolic", "trigonometric"])
+        lambda: classify("x"),
+        lambda: classify(None),
+        lambda: classify(True),
+        lambda: Hyperbolic(True, 1),
+        lambda: Hyperbolic("x", 1),
+        lambda: Trigonometric(True),
+        lambda: Trigonometric(None),
+    ], ids=["classify-tol", "classify-lambda", "hyperbolic", "trigonometric", "classify-str", "classify-none",
+            "classify-bool", "hyperbolic-bool", "hyperbolic-str", "trigonometric-bool", "trigonometric-none"])
     def test_nan_is_rejected(self, make):
         with pytest.raises(ValueError):
             make()
 
+    def test_nan_and_non_numbers_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^cannot classify a NaN coefficient$"):
+            classify(math.nan)
+        with pytest.raises(ValueError, match="^cannot classify 'x', which is not a number$"):
+            classify("x")
+
     def test_hyperbolic_sign_is_plus_or_minus_one(self):
         with pytest.raises(ValueError, match="^sign must be -1 or \\+1, got 0$"):
             Hyperbolic(1.0, 0)
+        with pytest.raises(ValueError, match="^sign must be -1 or \\+1, got True$"):
+            Hyperbolic(1.0, True)
+        for sign in (True, False):  # a bool is not a sign, though True == 1
+            with pytest.raises(ValueError, match=f"^sign must be -1 or \\+1, got {sign}$"):
+                forward_hyp(HALF, 0.1, 0.1, 0.5, sign)
 
     @given(lam=st.floats(-0.999999, 0.999999))
     def test_trig_round_trip(self, lam):

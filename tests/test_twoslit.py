@@ -47,6 +47,44 @@ def gaussian_scenario(bins=128, span=4.0, phase=None, n_emitted=10**5, runs=1, s
     return TwoSlitScenario(grid, env, env, phase, n_emitted, runs, seed)
 
 
+@st.composite
+def valid_scenarios(draw):
+    """A valid scenario of up to 4096 bins: gaussian, uniform or table envelopes, an explicit or a
+    free-wave phase. Equal and near-equal envelopes and phases at odd multiples of pi, where the
+    pattern's two terms cancel, are drawn often; the bulk arrays come from a drawn seed."""
+    bins, x_min = draw(st.integers(1, 4096)), draw(st.floats(-100.0, 100.0))
+    grid = GridSpec(bins, x_min, x_min + draw(st.floats(0.01, 100.0)))
+    span, rng = grid.x_max - grid.x_min, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def envelope():
+        kind = draw(st.sampled_from(["gaussian", "uniform", "table"]))
+        if kind == "gaussian":
+            mean, sigma = x_min + span * draw(st.floats(0.0, 1.0)), span * draw(st.floats(0.02, 10.0))
+            return gaussian_envelope(grid, mean, sigma)
+        if kind == "uniform":
+            return uniform_envelope(grid)
+        weights = rng.exponential(size=bins) * (rng.random(bins) < draw(st.floats(0.05, 1.0)))
+        weights[rng.integers(bins)] = 1.0
+        return table_envelope(weights)
+
+    env1 = envelope()
+    pairing = draw(st.sampled_from(["equal", "near", "other"]))
+    if pairing == "equal":
+        env2 = env1
+    elif pairing == "near":
+        env2 = table_envelope(env1 * (1.0 + 10.0 ** draw(st.integers(-16, -3)) * rng.standard_normal(bins)))
+    else:
+        env2 = envelope()
+    if draw(st.booleans()):
+        momenta = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+        phase = FreeWavePhase(*momenta, draw(st.floats(1e-3, 1e3)))
+    else:
+        odd = draw(st.sampled_from([1, -1, 3, 10**8 + 1])) * math.pi
+        share = draw(st.sampled_from([0.0, 0.5, 1.0]))  # of the bins at a uniform random phase
+        phase = ExplicitPhase(np.where(rng.random(bins) < share, rng.uniform(-1e3, 1e3, bins), odd))
+    return TwoSlitScenario(grid, env1, env2, phase, 0)
+
+
 def problems(make, *args, **fields):
     """The (invariant, message) pairs of the ScenarioError that ``make(*args, **fields)`` raises."""
     with pytest.raises(ScenarioError) as exc:
@@ -335,6 +373,13 @@ class TestAnalyticPattern:
         labels = sc.grid.labels()
         assert pattern.probs[labels[30]] == 0.0
         assert pattern.probs[labels[40]] == 0.0
+
+    @given(valid_scenarios())
+    def test_raw_pattern_of_a_valid_scenario_is_above_minus_1e_15(self, scenario):
+        # The pattern is a squared modulus, at least (1/2)(sqrt(p1) - sqrt(p2))**2, so only float
+        # dust takes it below 0; sampling clips that dust at 0 and checks nothing else.
+        raw = twoslit.interference_pattern(scenario.envelope1, scenario.envelope2, scenario.phase_table())
+        assert raw.min() > -1e-15
 
     def test_freewave_fringe_period(self):
         # Phase 4x gives fringe minima spaced pi/2 apart.
