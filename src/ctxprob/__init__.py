@@ -45,9 +45,7 @@ from .interference import (
 from .amplitudes import (
     ProbabilityWave,
     SplitComplex,
-    cos_identity,
     split_modulus,
-    synthesize_hyperbolic,
     synthesize_two_slit_wave,
     synthesize_wave,
 )
@@ -83,8 +81,8 @@ __all__ = [
     "total_probability", "perturbation_delta", "lambda_coefficient",
     "classify", "decompose", "forward_trig", "forward_hyp",
     # amplitudes
-    "SplitComplex", "ProbabilityWave", "cos_identity", "split_modulus",
-    "synthesize_wave", "synthesize_two_slit_wave", "synthesize_hyperbolic",
+    "SplitComplex", "ProbabilityWave", "split_modulus",
+    "synthesize_wave", "synthesize_two_slit_wave",
     # two-slit simulator
     "GridSpec", "ExplicitPhase", "FreeWavePhase", "TwoSlitScenario",
     "ExperimentReport",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients
 from .errors import NormalizationError
-from .interference import forward_hyp, read_only, same_fields
+from .interference import read_only, same_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,21 +74,6 @@ def split_modulus(z: SplitComplex) -> float:
     return (z.x - z.y) * (z.x + z.y)
 
 
-def cos_identity(a: float, b: float, theta: float) -> tuple[float, float]:
-    """Both sides of ``a^2 + b^2 + 2ab*cos(theta) = |a + b*e^{i*theta}|^2``.
-
-    Returns ``(lhs, rhs)`` where the left side is evaluated directly and the
-    right side through complex arithmetic; they agree within
-    ``1e-12 * max(1, lhs)``. The left side is also the parallelogram law for
-    the diagonal of a parallelogram with sides ``a``, ``b`` and angle
-    ``theta``.
-    """
-    lhs = a * a + b * b + 2.0 * a * b * math.cos(theta)
-    z = a + b * cmath.exp(1j * theta)
-    rhs = z.real * z.real + z.imag * z.imag
-    return lhs, rhs
-
-
 def synthesize_wave(
     coeffs: SplittingCoefficients,
     p1: float,
@@ -117,9 +102,8 @@ class ProbabilityWave:
 
     Contract: every ``|amp|^2`` lies in [0, 1] and the squared moduli sum to
     1 within 1e-9. ``theta1``/``theta2`` record the per-bin phase gauge used
-    at synthesis; ``scaling`` is the positive factor ``h`` relating phases to
-    the reduced phases ``xi = theta / h`` (physical-unit readings of ``h``
-    are metadata only and never enter the arithmetic).
+    at synthesis; ``scaling`` records the positive phase scale ``h``, which
+    never enters the arithmetic.
     """
 
     amplitudes: np.ndarray
@@ -139,27 +123,6 @@ class ProbabilityWave:
     def born_probabilities(self) -> np.ndarray:
         """Squared modulus of every amplitude."""
         return np.abs(self.amplitudes) ** 2
-
-    def normalization_defect(self) -> float:
-        """Absolute deviation of the total squared modulus from 1."""
-        return abs(float(self.born_probabilities().sum()) - 1.0)
-
-    def xi1(self) -> np.ndarray:
-        """Reduced first-branch phases ``theta1 / scaling``."""
-        return self.theta1 / self.scaling
-
-    def xi2(self) -> np.ndarray:
-        """Reduced second-branch phases ``theta2 / scaling``."""
-        return self.theta2 / self.scaling
-
-    def with_global_phase(self, alpha: float) -> ProbabilityWave:
-        """Multiply every amplitude by ``e^{i*alpha}``; observables unchanged."""
-        return ProbabilityWave(
-            self.amplitudes * cmath.exp(1j * alpha),
-            self.theta1 + alpha,
-            self.theta2 + alpha,
-            self.scaling,
-        )
 
 
 def synthesize_two_slit_wave(
@@ -196,38 +159,10 @@ def synthesize_two_slit_wave(
         raise ValueError("per-bin probabilities must be finite and nonnegative, and phases finite")
     amplitudes = (np.sqrt(p1) * np.exp(1j * theta) + np.sqrt(p2)) / math.sqrt(2.0)
     wave = ProbabilityWave(amplitudes, theta, np.zeros(len(theta)), h)
-    defect = wave.normalization_defect()
+    defect = abs(float(wave.born_probabilities().sum()) - 1.0)
     if not defect <= DISTRIBUTION_SUM_TOL:  # a NaN defect fails too
         raise NormalizationError(
             f"total squared modulus deviates from 1 by {defect!r} "
             f"(tolerance {DISTRIBUTION_SUM_TOL})"
         )
     return wave
-
-
-def synthesize_hyperbolic(
-    coeffs: SplittingCoefficients,
-    p1: float,
-    p2: float,
-    theta: float,
-    sign: int = 1,
-) -> SplitComplex:
-    """Split-complex amplitude whose modulus is the hyperbolic transform.
-
-    For ``sign = +1`` the amplitude is ``sqrt(c1*p1) + sqrt(c2*p2)*e^{j*theta}``;
-    for ``sign = -1`` the second term is negated, which flips the cross term
-    (split-complex conjugation leaves it unchanged because cosh is even).
-    ``split_modulus`` of the result equals
-    ``forward_hyp(coeffs, p1, p2, theta, sign)`` within 1e-12 at unit scale.
-
-    Raises:
-        OutOfRange: if the corresponding transform is not realizable as a
-            probability (propagated from the range check).
-    """
-    forward_hyp(coeffs, p1, p2, theta, sign)
-    a = math.sqrt(coeffs.c1 * p1)
-    b = math.sqrt(coeffs.c2 * p2)
-    second = b * SplitComplex.hyperbolic_exp(theta)
-    if sign == -1:
-        second = -second
-    return SplitComplex(a, 0.0) + second

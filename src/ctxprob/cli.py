@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ContextualError, ScenarioError
-from .core import EnsembleCounts
+from .core import EnsembleCounts, is_real
 from .interference import DEFAULT_CLASSIFY_TOL, KIND_LABELS, check_tolerance
 from .twoslit import (
     CONTEXT_IDS,
@@ -128,13 +128,10 @@ def _get(doc: dict, path: str, key: str, kind, errors: list, default=None, requi
     if isinstance(value, bool) or not isinstance(value, accepted):
         errors.append((here, f"expected {noun}, got {value!r}"))
         return default
-    if kind is float:
-        try:
-            return float(value)
-        except OverflowError:  # a JSON integer beyond the float range
-            errors.append((here, "integer too large for a float"))
-            return default
-    return value
+    if kind is float and not is_real(value):
+        errors.append((here, "integer too large for a float"))
+        return default
+    return float(value) if kind is float else value
 
 
 def _per_bin(doc: dict, path: str, grid: GridSpec | None, errors: list, build):
@@ -335,8 +332,9 @@ def report_document(report: ExperimentReport) -> dict:
     if report.bin_labels is None:  # position_labels: each label is the JSON text of its finite x
         x = JsonColumn(labels)
     keys = np.array(list(map(encode_basestring_ascii, labels)), object)
-    order = np.array(sorted(range(len(labels)), key=labels.__getitem__), np.intp)
-    in_order = np.array(labels, object)[order].tolist(), keys[order].tolist()  # JSON key order
+    names = np.array(labels, object)
+    order = np.argsort(names, kind="stable")
+    in_order = names[order].tolist(), keys[order].tolist()  # JSON key order
     kinds = np.array(list(map(encode_basestring_ascii, KIND_LABELS)), object)
     signs = np.array(["null", "1", "-1"], object)  # sign -1 reads the last text
     return {
@@ -677,20 +675,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _branch_counts(path: str, labels: list[str]) -> np.ndarray:
+    """The branch file's counts in the order of the pooled ``labels``; its own labels die on return."""
+    other, values = _read_counts(path)
+    if other != labels:  # a branch file may list the bins in another order
+        position = dict(zip(other, range(len(other))))
+        if missing := sorted(position.keys() ^ labels):
+            raise ScenarioError(
+                [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
+            )
+        values = values[np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))]
+    return values
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    paths = (args.counts_s, args.counts_s1, args.counts_s2)
-    (labels, counts), *branches = map(_read_counts, paths)
-    rows = [counts]
-    for path, (other, values) in zip(paths[1:], branches):
-        if other != labels:  # a branch file may list the bins in another order
-            position = dict(zip(other, range(len(other))))
-            if missing := sorted(position.keys() ^ labels):
-                raise ScenarioError(
-                    [(path, f"bin labels do not match the pooled file (first differences: {missing[:5]})")]
-                )
-            values = values[np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))]
-        rows.append(values)
-    counts = np.stack(rows)
+    labels, counts = _read_counts(args.counts_s)
+    counts = np.stack([counts, *(_branch_counts(path, labels) for path in (args.counts_s1, args.counts_s2))])
     report = _estimate(counts, tuple(counts.sum(axis=1).tolist()), args.tol, None, tuple(labels))
     _emit(_text_blocks(analyze_lines(report)), args.out)
     return EXIT_OK

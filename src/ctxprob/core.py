@@ -42,6 +42,16 @@ def is_number(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
+def is_finite(value) -> bool:
+    """Whether ``value`` is a number and neither inf, NaN nor an int beyond the float range."""
+    return is_number(value) and abs(value) <= sys.float_info.max
+
+
+def is_real(value) -> bool:
+    """Whether ``float`` takes the number ``value`` without ``OverflowError``; inf and NaN pass."""
+    return is_finite(value) or isinstance(value, float)
+
+
 def ordered_sum(values) -> float:
     """The floats ``values`` added left to right, quietly to inf or NaN, as the builtin ``sum``
     adds them before Python 3.12; from 3.12 on ``sum`` compensates rounding, so its totals
@@ -195,7 +205,7 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
             message = f"context {dist.context_id!r} probability {p!r} {what}"
             out.append(Violation("distribution.range", message, value=p, bin=label))
     values = (dist.probs[label] for label in space.bins if label in dist.probs)
-    total = ordered_sum([p for p in values if is_number(p) and abs(p) <= sys.float_info.max])
+    total = ordered_sum([p for p in values if is_finite(p)])
     if abs(total - 1.0) > DISTRIBUTION_SUM_TOL:
         out.append(
             Violation(
@@ -220,7 +230,7 @@ def validate_model(model: ContextualModel) -> list[Violation]:
         out.extend(validate_distribution(dist, model.space))
     coeffs, finite = model.coeffs, True
     for name, c in (("c1", coeffs.c1), ("c2", coeffs.c2)):
-        if not (is_number(c) and abs(c) <= sys.float_info.max):  # NaN fails too, as an int beyond floats does
+        if not is_finite(c):
             finite = False
             out.append(Violation("coefficients.finite", f"{name} = {c!r} is not finite", value=c))
         elif c < 0.0:

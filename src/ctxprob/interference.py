@@ -37,12 +37,11 @@ concurrently without restriction.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ContextualModel, SplittingCoefficients, is_number, validate_model
+from .core import ContextualModel, SplittingCoefficients, is_finite, is_number, is_real, validate_model
 from .errors import ConsistencyError, DegenerateBranch, OutOfRange
 
 #: Default half-width of the band around ``|lambda| = 1`` classified Boundary.
@@ -75,10 +74,10 @@ class Hyperbolic:
     sign: int
 
     def __post_init__(self) -> None:
-        if not (is_number(self.theta) and self.theta >= 0.0):
-            raise ValueError(f"hyperbolic phase {self.theta!r} is negative")
-        if isinstance(self.sign, bool) or self.sign not in (-1, 1):
-            raise ValueError(f"sign must be -1 or +1, got {self.sign!r}")
+        if not (is_real(self.theta) and self.theta >= 0.0):  # NaN reads as negative
+            what = "is negative" if is_real(self.theta) else "is not a float or an int within the float range"
+            raise ValueError(f"hyperbolic phase {self.theta!r} {what}")
+        _check_sign(self.sign)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,9 +179,23 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     return delta / (2.0 * math.sqrt(w1 * w2))
 
 
+def _check_sign(sign: int) -> None:
+    """``ValueError`` unless ``sign`` is the plain int -1 or +1: a bool or a float is no sign."""
+    if type(sign) is not int or sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+
+
+def _forward_terms(coeffs: SplittingCoefficients, p1: float, p2: float, theta: float) -> tuple[float, float]:
+    """``c1*p1 + c2*p2`` and ``2*sqrt(c1*p1*c2*p2)``; ``ValueError`` on an input ``float`` refuses."""
+    for name, value in (("c1", coeffs.c1), ("c2", coeffs.c2), ("p1", p1), ("p2", p2), ("theta", theta)):
+        if not is_real(value):
+            raise ValueError(f"{name} = {value!r} is not a float or an int within the float range")
+    return total_probability(coeffs, p1, p2), 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
+
+
 def check_tolerance(tol: float) -> float:
     """``tol`` if it is a finite, positive tolerance, an int or a float; ``ValueError`` if not."""
-    if not (is_number(tol) and 0.0 < tol <= sys.float_info.max):  # an int beyond the float range too
+    if not (is_finite(tol) and tol > 0.0):
         raise ValueError(f"classification tolerance must be finite and positive, got {tol!r}")
     return tol
 
@@ -197,8 +210,8 @@ def classify(lam: float, tol: float = DEFAULT_CLASSIFY_TOL) -> InterferenceKind:
     branch is picked.
     """
     check_tolerance(tol)
-    if not is_number(lam):
-        raise ValueError(f"cannot classify {lam!r}, which is not a number")
+    if not is_real(lam):
+        raise ValueError(f"cannot classify {lam!r}, which is not a {'float' if is_number(lam) else 'number'}")
     if math.isnan(lam):
         raise ValueError("cannot classify a NaN coefficient")
     mag = abs(lam)
@@ -216,10 +229,11 @@ def forward_trig(coeffs: SplittingCoefficients, p1: float, p2: float, theta: flo
     is a valid probability whenever ``sqrt(c1*p1) + sqrt(c2*p2) <= 1`` (for
     example whenever ``p1 + p2 <= 1``); outside that region the formula can
     exceed 1 and the caller is responsible for the interpretation. No
-    clamping is applied.
+    clamping is applied. An input that is not a float or an int within the
+    float range raises ``ValueError``.
     """
-    cross = 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
-    return coeffs.c1 * p1 + coeffs.c2 * p2 + cross * math.cos(theta)
+    mixture, cross = _forward_terms(coeffs, p1, p2, theta)
+    return mixture + cross * math.cos(theta)
 
 
 def forward_hyp(
@@ -232,13 +246,13 @@ def forward_hyp(
     inputs, so the result is checked.
 
     Raises:
+        ValueError: on an input :func:`forward_trig` refuses, or a sign other than the int -1 or +1.
         OutOfRange: if the value falls outside [0, 1], meaning the requested
             hyperbolic transition is not realizable as a probability.
     """
-    if isinstance(sign, bool) or sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign!r}")
-    cross = 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
-    value = coeffs.c1 * p1 + coeffs.c2 * p2 + sign * cross * math.cosh(theta)
+    mixture, cross = _forward_terms(coeffs, p1, p2, theta)
+    _check_sign(sign)
+    value = mixture + sign * cross * math.cosh(theta)
     if not (0.0 <= value <= 1.0):
         raise OutOfRange(value, f"hyperbolic transform gives {value!r}, outside [0, 1]")
     return value

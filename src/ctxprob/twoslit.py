@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,7 +45,9 @@ from .core import (
     OutcomeSpace,
     SplittingCoefficients,
     Violation,
+    is_finite,
     is_number,
+    is_real,
     ordered_sum,
     splitting_from_totals,
 )
@@ -221,7 +222,7 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
     ]
     if wrong:  # the range of a non-number is not checked
         out.extend(wrong)
-    elif not all(abs(value) <= sys.float_info.max for value in ends.values()):  # a huge int too
+    elif not all(map(is_finite, ends.values())):
         out.append(
             Violation("grid.range", f"x_min {grid.x_min!r} and x_max {grid.x_max!r} must be finite")
         )
@@ -229,7 +230,7 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
         out.append(
             Violation("grid.range", f"x_max {grid.x_max!r} must exceed x_min {grid.x_min!r}")
         )
-    elif not abs(grid.x_max - grid.x_min) <= sys.float_info.max:
+    elif not is_finite(grid.x_max - grid.x_min):
         out.append(
             Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}")
         )
@@ -253,9 +254,9 @@ def _free_wave_problems(phase: FreeWavePhase) -> list[Violation]:
         value = getattr(phase, name)
         if not is_number(value):
             out.append(Violation(f"phase.{name}", f"must be an int or a float, got {value!r}"))
-        elif name == "scaling" and not 0.0 < value <= sys.float_info.max:
+        elif name == "scaling" and not (is_finite(value) and value > 0.0):
             out.append(Violation("phase.scaling", f"scaling must be finite and positive, got {value!r}"))
-        elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        elif not is_real(value):
             out.append(Violation(f"phase.{name}", f"must be finite, got {value!r}"))
     return out
 

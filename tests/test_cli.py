@@ -447,10 +447,12 @@ class TestSimulate:
     @pytest.mark.parametrize("overrides, err", [
         ({"envelopes": {"slit1": {"kind": "gaussian", "sigma": 1.0}, "slit2": {"kind": "uniform"}}},
          "error: envelopes.slit1.mean: missing\n"),
+        ({"envelopes": {"slit1": {"mean": 0.0, "sigma": 1.0}, "slit2": {"kind": "uniform"}}},
+         "error: envelopes.slit1.kind: missing\n"),
         ({"phase": {"values": [0.0] * 16}}, "error: phase.kind: missing\n"),
         ({"phase": {"kind": "freewave", "p2": -2.5, "h": "x"}},
          "error: phase.p1: missing\nerror: phase.h: expected a number, got 'x'\n"),
-    ], ids=["gaussian-mean", "phase-kind", "freewave-p1-and-h"])
+    ], ids=["gaussian-mean", "envelope-kind", "phase-kind", "freewave-p1-and-h"])
     def test_missing_fields_exit_2(self, capsys, tmp_path, overrides, err):
         code, out, stderr = run_cli(capsys, "pattern", write_scenario(tmp_path, **overrides))
         assert (code, out, stderr) == (2, "", err)

@@ -168,6 +168,21 @@ class TestClassify:
             with pytest.raises(ValueError, match=f"^sign must be -1 or \\+1, got {sign}$"):
                 forward_hyp(HALF, 0.1, 0.1, 0.5, sign)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: classify(10**400), "^cannot classify 10{400}, which is not a float$"),
+        (lambda: forward_trig(HALF, 0.1, 0.1, 10**400), "^theta = 10{400} is not a float or an int within"),
+        (lambda: forward_trig(HALF, 10**400, 0.1, 0.5), "^p1 = 10{400} is not a float or an int within"),
+        (lambda: forward_hyp(HALF, 0.1, 0.1, 10**400, 1), "^theta = 10{400} is not a float or an int within"),
+        (lambda: Hyperbolic(10**400, 1), "^hyperbolic phase 10{400} is not a float or an int within"),
+        (lambda: Hyperbolic("x", 1), "^hyperbolic phase 'x' is not a float or an int within"),
+        (lambda: Hyperbolic(1.0, 1.0), "^sign must be -1 or \\+1, got 1.0$"),
+        (lambda: forward_hyp(HALF, 0.1, 0.1, 0.5, 1.0), "^sign must be -1 or \\+1, got 1.0$"),
+    ], ids=["classify", "forward-trig-theta", "forward-trig-p1", "forward-hyp-theta", "hyperbolic-theta",
+            "hyperbolic-str", "hyperbolic-float-sign", "forward-hyp-float-sign"])
+    def test_ints_beyond_the_float_range_and_float_signs_are_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @given(lam=st.floats(-0.999999, 0.999999))
     def test_trig_round_trip(self, lam):
         kind = classify(lam, tol=1e-9)

@@ -34,12 +34,6 @@ def test_forward_hyp_out_of_range_constant():
     assert test_interference.FWD_HYP_OOR_VALUE == closest_double(value)
 
 
-def test_cos_identity_constant():
-    a, b, theta = mpf(0.6), mpf(0.3), mpf(1.1)
-    value = a * a + b * b + 2 * a * b * mp.cos(theta)
-    assert test_amplitudes.COS_IDENTITY_AT_06_03_11 == closest_double(value)
-
-
 def test_split_modulus_constant():
     a, b, theta = mpf(0.5), mpf(0.2), mpf(1.0)
     value = a * a + b * b + 2 * a * b * mp.cosh(theta)

@@ -16,7 +16,7 @@ def test_library_quickstart_runs():
     assert names["lam"] == pytest.approx(0.8)
     assert abs(names["amp"]) ** 2 == pytest.approx(0.9)
     assert names["report"].violation_statistic > 5.0
-    assert names["wave"].normalization_defect() <= 1e-9
+    assert abs(names["wave"].born_probabilities().sum() - 1.0) <= 1e-9
 
 
 def test_scenario_example_runs(capsys, tmp_path):

@@ -43,6 +43,31 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert used == declared
 
 
+def top_level_names(path: Path) -> set[str]:
+    """The names a source file defines at module level: its functions, classes and assigned names."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_every_public_name_is_used_outside_its_home_module_and_the_tests():
+    # A public name earns its place by a use in another module, the benchmark, the README or the
+    # acceptance gate; the package's __init__ only re-exports it and so does not count.
+    users = [p for p in SOURCES if p.name != "__init__.py"] + sorted((ROOT / "bench").glob("*.py"))
+    users += [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+    texts = {path: path.read_text(encoding="utf-8") for path in users}
+    homes = {name: path for path in SOURCES for name in top_level_names(path)}
+    unused = [
+        name for name in ctxprob.__all__
+        if not any(re.search(rf"\b{re.escape(name)}\b", text) for path, text in texts.items() if path != homes[name])
+    ]
+    assert unused == []
+
+
 def test_importing_the_cli_leaves_orjson_unloaded():
     # orjson is imported on its first use, so importing the CLI does not pay for it.
     code = "import sys, ctxprob, ctxprob.cli; print(sorted(m for m in sys.modules if 'orjson' in m))"
