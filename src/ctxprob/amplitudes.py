@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients
+from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, is_finite, read_only, same_fields
 from .errors import NormalizationError
-from .interference import read_only, same_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +147,7 @@ def synthesize_two_slit_wave(
             1e-9, i.e. the supplied envelopes and phases do not form a
             normalizable pattern on this grid.
     """
-    if not 0.0 < h < math.inf:
+    if not (is_finite(h) and h > 0.0):
         raise ValueError(f"scaling factor must be positive and finite, got {h!r}")
     p1, p2, theta = (np.asarray(v, float) for v in (p1, p2, theta))
     if not (p1.shape == p2.shape == theta.shape and theta.ndim == 1):

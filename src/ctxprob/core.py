@@ -21,8 +21,9 @@ streams.
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +51,35 @@ def is_finite(value) -> bool:
 def is_real(value) -> bool:
     """Whether ``float`` takes the number ``value`` without ``OverflowError``; inf and NaN pass."""
     return is_finite(value) or isinstance(value, float)
+
+
+def is_int(value, lo=-math.inf, hi=math.inf) -> bool:
+    """Whether ``value`` is a plain ``int`` in ``[lo, hi]``; a bool, int subclass or numpy integer is not."""
+    return type(value) is int and lo <= value <= hi
+
+
+def read_only(values, dtype=float) -> np.ndarray:
+    """A new read-only ``dtype`` array of ``values``. Each entry of a float one, unless given as a numeric
+    array, is a number :func:`is_real` takes, or ``ValueError`` names the first that is not."""
+    if not isinstance(values, np.ndarray) or dtype is float and values.dtype.kind not in "fiu":
+        values = list(values)
+        if dtype is float and not set(map(type, values)) <= {float}:  # one pass for a list of floats
+            if wrong := [value for value in values if not is_real(value)]:
+                raise ValueError(f"expected a number, got {wrong[0]!r}")
+    array = np.array(values, dtype)
+    array.setflags(write=False)
+    return array
+
+
+def same_fields(a, b) -> bool:
+    """Field-by-field equality of two dataclasses of one type; arrays by value, NaN equal to NaN."""
+    if type(b) is not type(a):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(
+        np.array_equal(u, v, equal_nan=True) if np.ndarray in (type(u), type(v)) else u is v or u == v
+        for u, v in pairs
+    )
 
 
 def ordered_sum(values) -> float:
@@ -166,7 +196,7 @@ class EnsembleCounts:
         object.__setattr__(self, "counts", FrozenDict(self.counts))
         values = self.counts.values()
         if not set(map(type, values)) <= {int} or min(values, default=0) < 0:
-            label, n = next((b, n) for b, n in self.counts.items() if type(n) is not int or n < 0)
+            label, n = next((b, n) for b, n in self.counts.items() if not is_int(n, 0))
             raise ValueError(f"context {self.context_id!r} bin {label!r}: count {n!r} is not an int >= 0")
         object.__setattr__(self, "total_detected", sum(values))
         if self.total_detected >= 2**63:  # the totals are int64

@@ -37,11 +37,12 @@ concurrently without restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContextualModel, SplittingCoefficients, is_finite, is_number, is_real, validate_model
+from .core import ContextualModel, SplittingCoefficients, is_finite, is_int, is_number, is_real, same_fields
+from .core import validate_model
 from .errors import ConsistencyError, DegenerateBranch, OutOfRange
 
 #: Default half-width of the band around ``|lambda| = 1`` classified Boundary.
@@ -93,24 +94,6 @@ DEGENERATE, TRIGONOMETRIC, HYPERBOLIC, BOUNDARY = range(4)
 KIND_LABELS = ("degenerate", "trigonometric", "hyperbolic", "boundary")
 
 
-def read_only(values, dtype=float) -> np.ndarray:
-    """A new read-only ``dtype`` array of ``values``, each converted by ``dtype``."""
-    array = np.array(values if isinstance(values, np.ndarray) else list(map(dtype, values)), dtype)
-    array.setflags(write=False)
-    return array
-
-
-def same_fields(a, b) -> bool:
-    """Field-by-field equality of two dataclasses of one type; arrays by value, NaN equal to NaN."""
-    if type(b) is not type(a):
-        return NotImplemented
-    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
-    return all(
-        np.array_equal(u, v, equal_nan=True) if np.ndarray in (type(u), type(v)) else u is v or u == v
-        for u, v in pairs
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class DecompositionTable:
     """Per-bin decomposition as columns indexed by bin position.
@@ -142,6 +125,7 @@ def total_probability(coeffs: SplittingCoefficients, p1: float, p2: float) -> fl
     This is the value the pooled probability would take if combining the
     branch data introduced no perturbation.
     """
+    _check_reals(coeffs, p1=p1, p2=p2)
     return coeffs.c1 * p1 + coeffs.c2 * p2
 
 
@@ -153,6 +137,7 @@ def perturbation_delta(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     when the coefficients sum to 1 the two forms agree, and downstream code
     asserts that agreement as a runtime consistency check.
     """
+    _check_reals(coeffs, p_s=p_s, p1=p1, p2=p2)
     return coeffs.c1 * (p_s - p1) + coeffs.c2 * (p_s - p2)
 
 
@@ -164,10 +149,12 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     phase, larger magnitudes only as ``+-cosh``.
 
     Raises:
+        ValueError: on an input :func:`forward_trig` refuses.
         DegenerateBranch: if ``c1*p1`` or ``c2*p2`` is zero, in which case
             the normalization is undefined and the bin must be reported as
             degenerate rather than classified.
     """
+    delta = perturbation_delta(coeffs, p_s, p1, p2)  # checks the inputs
     w1 = coeffs.c1 * p1
     w2 = coeffs.c2 * p2
     if w1 <= 0.0 or w2 <= 0.0:
@@ -175,21 +162,25 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
             f"weighted branch probabilities c1*p1 = {w1!r}, c2*p2 = {w2!r}; "
             "lambda is undefined when either is zero"
         )
-    delta = perturbation_delta(coeffs, p_s, p1, p2)
     return delta / (2.0 * math.sqrt(w1 * w2))
 
 
 def _check_sign(sign: int) -> None:
     """``ValueError`` unless ``sign`` is the plain int -1 or +1: a bool or a float is no sign."""
-    if type(sign) is not int or sign not in (-1, 1):
+    if not (is_int(sign, -1, 1) and sign):
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
+
+
+def _check_reals(coeffs: SplittingCoefficients, **values) -> None:
+    """``ValueError`` on the first of ``c1``, ``c2`` and ``values`` that ``float`` refuses; arrays pass."""
+    for name, value in (("c1", coeffs.c1), ("c2", coeffs.c2), *values.items()):
+        if not (is_real(value) or isinstance(value, np.ndarray)):
+            raise ValueError(f"{name} = {value!r} is not a float or an int within the float range")
 
 
 def _forward_terms(coeffs: SplittingCoefficients, p1: float, p2: float, theta: float) -> tuple[float, float]:
     """``c1*p1 + c2*p2`` and ``2*sqrt(c1*p1*c2*p2)``; ``ValueError`` on an input ``float`` refuses."""
-    for name, value in (("c1", coeffs.c1), ("c2", coeffs.c2), ("p1", p1), ("p2", p2), ("theta", theta)):
-        if not is_real(value):
-            raise ValueError(f"{name} = {value!r} is not a float or an int within the float range")
+    _check_reals(coeffs, p1=p1, p2=p2, theta=theta)
     return total_probability(coeffs, p1, p2), 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
 
 

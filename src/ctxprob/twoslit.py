@@ -46,14 +46,16 @@ from .core import (
     SplittingCoefficients,
     Violation,
     is_finite,
+    is_int,
     is_number,
     is_real,
     ordered_sum,
+    read_only,
+    same_fields,
     splitting_from_totals,
 )
 from .errors import ScenarioError, ZeroEnsemble
 from .interference import DEFAULT_CLASSIFY_TOL, DecompositionTable, check_tolerance, decompose_arrays
-from .interference import read_only, same_fields
 
 CONTEXT_IDS = ("S", "S1", "S2")
 
@@ -61,7 +63,7 @@ CONTEXT_IDS = ("S", "S1", "S2")
 #: reach the screen when only one opening is active.
 BRANCH_ACCEPTANCE = 0.5
 
-#: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 575 MiB of memory.
+#: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 561 MiB of memory.
 MAX_BINS = 2**21
 #: Most runs accepted: sampling time grows with the (context, run) pairs drawn.
 MAX_RUNS = 2**16
@@ -174,7 +176,7 @@ class TwoSlitScenario:
 
 def _check_gaussian(mean: float, sigma: float) -> None:
     """Raise ``ValueError`` unless ``sigma`` is positive and finite and ``mean`` finite."""
-    if not (0.0 < sigma < math.inf and math.isfinite(mean)):
+    if not (is_finite(sigma) and sigma > 0.0 and is_finite(mean)):
         raise ValueError(f"sigma must be positive and finite and mean finite, got sigma {sigma!r}, mean {mean!r}")
 
 
@@ -197,24 +199,20 @@ def uniform_envelope(grid: GridSpec) -> np.ndarray:
 
 def table_envelope(values) -> np.ndarray:
     """Arbitrary nonnegative per-bin weights, normalized by their sum."""
-    v = [float(p) for p in values]
-    if any(p < 0.0 for p in v):
+    v = read_only(values)
+    if (v < 0.0).any():
         raise ValueError("table envelope has negative entries")
     total = ordered_sum(v)
     if total <= 0.0:
         raise ValueError("table envelope sums to zero")
     if total == math.inf:  # NaN weights are left to validate_scenario's finiteness check
         raise ValueError("table envelope weights sum to infinity")
-    return read_only(np.array(v) / total)
+    return read_only(v / total)
 
 
 def validate_grid(grid: GridSpec) -> list[Violation]:
     """The grid's problems; a :class:`GridSpec` raises :class:`ScenarioError` of them when made."""
-    out: list[Violation] = []
-    if type(grid.bins) is not int:
-        out.append(Violation("grid.bins", f"must be an int, got {grid.bins!r}"))
-    elif not 1 <= grid.bins <= MAX_BINS:
-        out.append(Violation("grid.bins", f"need 1 to {MAX_BINS} bins, got {grid.bins!r}"))
+    out = _int_problem("grid.bins", grid.bins, 1, MAX_BINS, f"need 1 to {MAX_BINS} bins")
     ends = {"x_min": grid.x_min, "x_max": grid.x_max}
     wrong = [
         Violation(f"grid.{name}", f"must be an int or a float, got {value!r}")
@@ -223,20 +221,21 @@ def validate_grid(grid: GridSpec) -> list[Violation]:
     if wrong:  # the range of a non-number is not checked
         out.extend(wrong)
     elif not all(map(is_finite, ends.values())):
-        out.append(
-            Violation("grid.range", f"x_min {grid.x_min!r} and x_max {grid.x_max!r} must be finite")
-        )
+        out.append(Violation("grid.range", f"x_min {grid.x_min!r} and x_max {grid.x_max!r} must be finite"))
     elif not grid.x_max > grid.x_min:
-        out.append(
-            Violation("grid.range", f"x_max {grid.x_max!r} must exceed x_min {grid.x_min!r}")
-        )
+        out.append(Violation("grid.range", f"x_max {grid.x_max!r} must exceed x_min {grid.x_min!r}"))
     elif not is_finite(grid.x_max - grid.x_min):
-        out.append(
-            Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}")
-        )
+        out.append(Violation("grid.range", f"x_max - x_min must be finite, got {grid.x_max - grid.x_min!r}"))
     elif not out and not (np.diff(grid.midpoints()) > 0.0).all():  # equal labels
         out.append(Violation("grid.range", f"{grid.bins} bins have equal midpoints on this range"))
     return out
+
+
+def _int_problem(name: str, value, lo: int, hi: float, out_of_range: str) -> list[Violation]:
+    """No violation if ``value`` is a plain int in ``[lo, hi]``; else "must be an int" or ``out_of_range``."""
+    if is_int(value, lo, hi):
+        return []
+    return [Violation(name, f"{out_of_range if is_int(value) else 'must be an int'}, got {value!r}")]
 
 
 def _length_problem(values: np.ndarray, noun: str, bins: int) -> str | None:
@@ -293,21 +292,11 @@ def validate_scenario(scenario: TwoSlitScenario) -> list[Violation]:
         if not finite:
             out.append(Violation("phase.finite", "theta(x) has non-finite entries"))
     n, runs, seed = scenario.n_emitted, scenario.runs, scenario.seed
-    if type(n) is not int:
-        out.append(Violation("sampling.n_emitted", f"must be an int, got {n!r}"))
-    elif n < 0:
-        out.append(Violation("sampling.n_emitted", f"must be >= 0, got {n!r}"))
-    elif type(runs) is int and n * runs >= 2**63:  # the per-context totals are int64 counts
+    out += _int_problem("sampling.n_emitted", n, 0, math.inf, "must be >= 0")
+    if is_int(n, 0) and is_int(runs) and n * runs >= 2**63:  # the per-context totals are int64 counts
         out.append(Violation("sampling.n_emitted", f"n_emitted * runs must be below 2**63, got {n * runs!r}"))
-    if type(runs) is not int:
-        out.append(Violation("sampling.runs", f"must be an int, got {runs!r}"))
-    elif not 1 <= runs <= MAX_RUNS:
-        out.append(Violation("sampling.runs", f"need 1 to {MAX_RUNS} runs, got {runs!r}"))
-    if type(seed) is not int:
-        out.append(Violation("sampling.seed", f"must be an int, got {seed!r}"))
-    elif not 0 <= seed < 2**64:
-        out.append(Violation("sampling.seed", f"must fit in 64 bits, got {seed!r}"))
-    return out
+    out += _int_problem("sampling.runs", runs, 1, MAX_RUNS, f"need 1 to {MAX_RUNS} runs")
+    return out + _int_problem("sampling.seed", seed, 0, 2**64 - 1, "must fit in 64 bits")
 
 
 def _refuse(violations: list[Violation]) -> None:
@@ -411,7 +400,7 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
     """
     if which not in CONTEXT_IDS:
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
-    if isinstance(run, bool) or not isinstance(run, int) or not 0 <= run < MAX_RUNS:
+    if not is_int(run, 0, MAX_RUNS - 1):
         raise ValueError(f"run must be an int from 0 to {MAX_RUNS - 1}, got {run!r}")
     distributions, _ = _distributions(scenario)
     [(_, counts)] = _samples(scenario, distributions, np.array([CONTEXT_IDS.index(which)]), np.array([run]))
@@ -524,7 +513,7 @@ def run_experiment(
         ZeroEnsemble: if a context ends up with no detected systems
             (for example ``n_emitted = 0``, which draws nothing).
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    if not is_int(workers, 1):
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     check_tolerance(tol)
     distributions, raw_total = _distributions(scenario)

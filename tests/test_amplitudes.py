@@ -218,7 +218,7 @@ class TestTwoSlitWave:
 
     @pytest.mark.parametrize("field, value", [
         ("p1", math.nan), ("p2", math.inf), ("p1", -0.125), ("theta", math.nan), ("theta", -math.inf),
-        ("h", math.nan), ("h", math.inf), ("h", 0.0),
+        ("h", math.nan), ("h", math.inf), ("h", 0.0), pytest.param("h", 10**400, id="h-10**400"), ("h", True),
     ])
     def test_non_finite_and_negative_inputs_rejected(self, field, value):
         # Unchecked, a NaN gives an all-NaN wave, and a NaN defect passes `defect > 1e-9`.

@@ -437,7 +437,8 @@ class TestSimulate:
         ([None] + [1.0] * 15, "expected a number, got None"),
         (["1"] * 16, "expected a number, got '1'"),
         ([1] * 8 + [True] * 8, "expected a number, got True"),
-    ], ids=["not-a-list", "length", "string", "null", "numeric-string", "boolean"])
+        ([1.0] * 15 + [10**400], f"expected a number, got {10**400!r}"),
+    ], ids=["not-a-list", "length", "string", "null", "numeric-string", "boolean", "int-beyond-float-range"])
     def test_per_bin_list_errors_exit_2(self, capsys, tmp_path, field, doc, values, message):
         path = write_scenario(tmp_path, **doc(values))
         code, out, err = run_cli(capsys, "pattern", path)

@@ -177,8 +177,12 @@ class TestClassify:
         (lambda: Hyperbolic("x", 1), "^hyperbolic phase 'x' is not a float or an int within"),
         (lambda: Hyperbolic(1.0, 1.0), "^sign must be -1 or \\+1, got 1.0$"),
         (lambda: forward_hyp(HALF, 0.1, 0.1, 0.5, 1.0), "^sign must be -1 or \\+1, got 1.0$"),
+        (lambda: lambda_coefficient(HALF, 0.5, 10**400, 0.1), "^p1 = 10{400} is not a float or an int within"),
+        (lambda: total_probability(HALF, 0.1, 10**400), "^p2 = 10{400} is not a float or an int within"),
+        (lambda: perturbation_delta(HALF, 10**400, 0.1, 0.1), "^p_s = 10{400} is not a float or an int within"),
     ], ids=["classify", "forward-trig-theta", "forward-trig-p1", "forward-hyp-theta", "hyperbolic-theta",
-            "hyperbolic-str", "hyperbolic-float-sign", "forward-hyp-float-sign"])
+            "hyperbolic-str", "hyperbolic-float-sign", "forward-hyp-float-sign", "lambda-coefficient-p1",
+            "total-probability-p2", "perturbation-delta-p-s"])
     def test_ints_beyond_the_float_range_and_float_signs_are_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

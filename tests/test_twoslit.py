@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import functools
 import math
 import operator
@@ -18,14 +19,17 @@ from ctxprob import (
     ExplicitPhase,
     FreeWavePhase,
     GridSpec,
+    Hyperbolic,
     OutcomeSpace,
     ScenarioError,
+    SplittingCoefficients,
     TwoSlitScenario,
     ZeroEnsemble,
     alternative_condition_check,
     analytic_pattern,
     decompose_empirical,
     empirical_distribution,
+    forward_hyp,
     gaussian_envelope,
     pattern_normalization,
     run_experiment,
@@ -259,6 +263,8 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("mean, sigma", [
         (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.nan), (0.0, math.inf),
+        pytest.param(10**400, 1.0, id="10**400-1.0"), ("a", 1.0), (0.0, True),
+        pytest.param(0.0, 10**400, id="0.0-10**400"),
     ])
     def test_gaussian_envelope_rejects_non_finite_parameters(self, mean, sigma):
         # Unchecked, a NaN gives an all-NaN envelope and sigma = inf the uniform one.
@@ -311,6 +317,63 @@ class TestScenarioValidation:
             assert values.flags.writeable is False
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
+
+
+small_scenario = functools.partial(gaussian_scenario, bins=4)
+
+#: Each plain-int field: where it enters, its name in the error, a call that takes it, an int it
+#: takes, and its range (None: no upper end).
+INT_FIELDS = [
+    ("GridSpec", "grid.bins", lambda v: GridSpec(v, -1.0, 1.0), 4, 1, MAX_BINS),
+    ("TwoSlitScenario", "sampling.n_emitted", lambda v: small_scenario(n_emitted=v), 2, 0, 2**63 - 1),
+    ("TwoSlitScenario", "sampling.runs", lambda v: small_scenario(runs=v), 2, 1, MAX_RUNS),
+    ("TwoSlitScenario", "sampling.seed", lambda v: small_scenario(seed=v), 2, 0, 2**64 - 1),
+    ("simulate_context", "run", lambda v: simulate_context(small_scenario(), "S", v), 2, 0, MAX_RUNS - 1),
+    ("run_experiment", "workers", lambda v: run_experiment(small_scenario(), workers=v), 2, 1, None),
+    ("Hyperbolic", "sign", lambda v: Hyperbolic(1.0, v), 1, -1, 1),
+    ("forward_hyp", "sign", lambda v: forward_hyp(SplittingCoefficients(0.5, 0.5), 0.1, 0.1, 0.5, v), 1, -1, 1),
+]
+
+
+def int_rule_cases():
+    """Per field: a bool, a float, an IntEnum and a numpy integer of a taken value, and each end's outside."""
+    for where, field, make, ok, lo, hi in INT_FIELDS:
+        plain = enum.IntEnum("Plain", {"N": ok}).N
+        for value in [True, float(ok), plain, np.int64(ok), lo - 1] + ([] if hi is None else [hi + 1]):
+            yield pytest.param(field, make, ok, value, id=f"{where}-{field}-{value!r}")
+
+
+@pytest.mark.parametrize("field, make, ok, value", int_rule_cases())
+def test_each_int_field_takes_only_a_plain_int_in_its_range(field, make, ok, value):
+    make(ok)
+    with pytest.raises((ScenarioError, ValueError)) as info:
+        make(value)
+    error = info.value
+    if isinstance(error, ScenarioError):
+        assert [path for path, _ in error.problems] == [field]
+    else:
+        assert str(error).startswith(f"{field} must be")
+    assert str(error).endswith(f", got {value!r}")
+
+
+#: Each maker of a per-bin list.
+PER_BIN = {
+    "table_envelope": table_envelope,
+    "ExplicitPhase": ExplicitPhase,
+    "list-envelope": lambda values: TwoSlitScenario(
+        GridSpec(2, -1.0, 1.0), values, [0.5, 0.5], ExplicitPhase([0.0, 0.0]), 10
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", ["1", None, True, 10**400], ids=["str", "None", "bool", "10**400"])
+@pytest.mark.parametrize("make", PER_BIN.values(), ids=PER_BIN)
+def test_each_per_bin_list_takes_only_numbers(make, entry):
+    make([0.5, 0.5])
+    with pytest.raises(ValueError, match=f"^expected a number, got {re.escape(repr(entry))}$"):
+        make([0.5, entry])
+    with pytest.raises(ValueError, match="^expected a number, got "):  # an array of str, bool or objects
+        make(np.array([entry, entry]))
 
 
 def bit_pattern(value: float) -> int:
