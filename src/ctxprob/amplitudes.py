@@ -149,11 +149,10 @@ def synthesize_two_slit_wave(
     """
     if not (is_finite(h) and h > 0.0):
         raise ValueError(f"scaling factor must be positive and finite, got {h!r}")
-    p1, p2, theta = (np.asarray(v, float) for v in (p1, p2, theta))
-    if not (p1.shape == p2.shape == theta.shape and theta.ndim == 1):
-        raise ValueError(
-            f"per-bin inputs must be 1-D and of one length: got {p1.shape}, {p2.shape}, {theta.shape}"
-        )
+    shapes = [np.shape(v) for v in (p1, p2, theta)]
+    if not (shapes[0] == shapes[1] == shapes[2] and len(shapes[2]) == 1):
+        raise ValueError("per-bin inputs must be 1-D and of one length: got {}, {}, {}".format(*shapes))
+    p1, p2, theta = map(read_only, (p1, p2, theta))  # each entry a number, by the per-bin rule
     if not (np.isfinite(theta).all() and all(((0.0 <= p) & (p < math.inf)).all() for p in (p1, p2))):
         raise ValueError("per-bin probabilities must be finite and nonnegative, and phases finite")
     amplitudes = (np.sqrt(p1) * np.exp(1j * theta) + np.sqrt(p2)) / math.sqrt(2.0)

@@ -255,8 +255,27 @@ def load_scenario(path: str) -> TwoSlitScenario:
 # Report documents
 # ---------------------------------------------------------------------------
 
+class PerBin:
+    """A per-bin list (``brackets`` ``"[]"``) or object (``"{}"``) of ``rows`` entries, each ``parts``
+    in turn, as :func:`_entries` renders it: a ``str`` part as it is, its line breaks indented where
+    the node is rendered, and any other called with a block's slice to give the block's texts."""
+
+    def __init__(self, brackets: str, rows: int, parts: Sequence):
+        self.brackets, self.rows, self.parts = brackets, rows, parts
+
+
+def _floats(values: np.ndarray):
+    """The part of a 1-D float64 column: a block's ``repr`` texts, NaN as ``null``. A +-inf
+    raises json's own ``ValueError`` here, before any text of the document is made."""
+    infinite = values[np.isinf(values)]
+    if len(infinite):  # json's own error, which names the value when indenting
+        json.dumps(infinite[0].item(), indent=2, allow_nan=False)
+    return lambda block: _texts([values[block]], repr, "null")[0]
+
+
 def scenario_document(scenario: TwoSlitScenario) -> dict:
     """Canonical resolved echo of a scenario (envelopes and phases expanded)."""
+    n = scenario.grid.bins
     if isinstance(scenario.phase, ExplicitPhase):
         phase: dict = {"kind": "explicit"}
     else:
@@ -266,16 +285,16 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
             "p2": scenario.phase.momentum2,
             "h": scenario.phase.scaling,
         }
-    phase["theta"] = scenario.phase_table()
+    phase["theta"] = PerBin("[]", n, [_floats(scenario.phase_table())])
     envelopes = _texts([scenario.envelope1, scenario.envelope2], repr, "null")
     return {
         "grid": {
-            "bins": scenario.grid.bins,
+            "bins": n,
             "x_min": scenario.grid.x_min,
             "x_max": scenario.grid.x_max,
         },
-        "envelope1": JsonColumn(envelopes[0]),
-        "envelope2": JsonColumn(envelopes[1]),
+        "envelope1": PerBin("[]", n, [envelopes[0].__getitem__]),
+        "envelope2": PerBin("[]", n, [envelopes[1].__getitem__]),
         "phase": phase,
         "sampling": {
             "n_emitted": scenario.n_emitted,
@@ -286,23 +305,13 @@ def scenario_document(scenario: TwoSlitScenario) -> dict:
     }
 
 
-class RecordColumns(dict):
-    """Records held as columns: ``node[name][i]`` is field ``name`` of record ``i``; it renders as the
-    list of records. Each column, a 1-D float64 array (NaN renders as ``null``) or a :class:`JsonColumn`,
-    has the node's one length, and each is checked before the node's first chunk."""
-
-
-class JsonColumn(tuple):
-    """A tuple of values already rendered as JSON text; it renders as the list of them,
-    or as one field per record in a :class:`RecordColumns` node."""
-
-
-class JsonCounts(Mapping):
+class JsonCounts(PerBin, Mapping):
     """A context's counts ``{label: count}``, held as its own int64 row in JSON key order
     with the ``labels`` in that order and ``texts``, their JSON texts; a block's counts render
     by one :func:`repr_texts` call. A count set changes the rendered document, not the report."""
 
     def __init__(self, labels: list[str], texts: list[str], row: np.ndarray):
+        super().__init__("{}", len(row), [texts.__getitem__, ": ", lambda block: repr_texts(row[block])])
         self.labels, self.texts, self.row = labels, texts, row
 
     @cached_property
@@ -323,16 +332,34 @@ class JsonCounts(Mapping):
 
 
 def report_document(report: ExperimentReport) -> dict:
-    t = report.table
-    labels, x = report.labels, report.x
-    if report.bin_labels is None:  # position_labels: each label is the JSON text of its finite x
-        x = JsonColumn(labels)
+    t, labels = report.table, report.labels
     keys = np.array(list(map(encode_basestring_ascii, labels)), object)
     names = np.array(labels, object)
     order = np.argsort(names, kind="stable")
     in_order = names[order].tolist(), keys[order].tolist()  # JSON key order
     kinds = np.array(list(map(encode_basestring_ascii, KIND_LABELS)), object)
     signs = np.array(["null", "1", "-1"], object)  # sign -1 reads the last text
+    # position_labels: each label is the JSON text of its finite x
+    x = labels.__getitem__ if report.bin_labels is None else "null" if report.x is None else _floats(report.x)
+    fields = {
+        "bin": lambda block: keys[block].tolist(),
+        "x": x,
+        "p_s": _floats(t.p_s),
+        "p_1": _floats(t.p1),
+        "p_2": _floats(t.p2),
+        "classical": _floats(t.classical),
+        "delta": _floats(t.delta),
+        "lambda": _floats(t.lam),
+        "kind": lambda block: kinds[t.kind[block]].tolist(),
+        "sign": lambda block: signs[t.sign[block]].tolist(),
+        "theta": _floats(t.theta),
+        "stderr_lambda": _floats(t.stderr_lambda),
+        "stderr_theta": _floats(t.stderr_theta),
+        "z": _floats(t.z),
+    }
+    record = []  # a record's parts: each field's head, indented where the list is, and its texts
+    for i, name in enumerate(sorted(fields)):
+        record += [("," if i else "{") + "\n    " + encode_basestring_ascii(name) + ": ", fields[name]]
     return {
         "counts": {
             context: {
@@ -352,38 +379,8 @@ def report_document(report: ExperimentReport) -> dict:
         "pattern_normalization": report.pattern_normalization,
         "violation_statistic": report.violation_statistic,
         "classification_tol": report.classification_tol,
-        "bins": RecordColumns({
-            "bin": JsonColumn(keys.tolist()),
-            "x": JsonColumn(("null",) * len(labels)) if x is None else x,
-            "p_s": t.p_s,
-            "p_1": t.p1,
-            "p_2": t.p2,
-            "classical": t.classical,
-            "delta": t.delta,
-            "lambda": t.lam,
-            "kind": JsonColumn(kinds[t.kind].tolist()),
-            "sign": JsonColumn(signs[t.sign].tolist()),
-            "theta": t.theta,
-            "stderr_lambda": t.stderr_lambda,
-            "stderr_theta": t.stderr_theta,
-            "z": t.z,
-        }),
+        "bins": PerBin("[]", len(labels), [*record, "\n  }"]),
     }
-
-
-def _column(values, rows: int | None = None):
-    """``values`` checked once, and the callable that gives a block's JSON texts of it: a
-    :class:`JsonColumn`'s own, or a 1-D float64 array's with NaN as ``null``, of ``rows`` entries
-    if given. Anything else raises json's own ``TypeError``, and a +-inf json's ``ValueError``."""
-    kind = type(values)
-    if kind is JsonColumn and rows in (None, len(values)):
-        return values.__getitem__
-    if kind is not np.ndarray or values.dtype != float or values.ndim != 1 or rows not in (None, len(values)):
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    infinite = values[np.isinf(values)]
-    if len(infinite):  # json's own error, which names the value when indenting
-        json.dumps(infinite[0].item(), indent=2, allow_nan=False)
-    return lambda block: _texts([values[block]], repr, "null")[0]
 
 
 #: Entries of every per-bin list (records, a column's values, counts, CSV lines) per chunk of text.
@@ -391,10 +388,9 @@ BLOCK_ROWS = 4096
 
 
 def _entries(pad: str, brackets: str, rows: int, parts: Sequence) -> Iterator[str]:
-    """The text of a list (``brackets`` ``"[]"``) or object (``"{}"``) of ``rows`` entries,
-    :data:`BLOCK_ROWS` entries per chunk. An entry is ``parts`` in turn: a ``str`` part is
-    written as it is, any other is called with the block's slice and returns the block's texts."""
+    """The text of a :class:`PerBin` node at ``pad``, :data:`BLOCK_ROWS` entries per chunk."""
     inner, step = pad + "  ", len(parts) + 1
+    parts = [part.replace("\n", "\n" + pad) if type(part) is str else part for part in parts]
     for start in range(0, rows, BLOCK_ROWS):
         count = min(BLOCK_ROWS, rows - start)
         pieces = [",\n" + inner] * (step * count)  # each entry's separator, then its parts
@@ -406,7 +402,7 @@ def _entries(pad: str, brackets: str, rows: int, parts: Sequence) -> Iterator[st
 
 
 def _render(value, pad: str) -> Iterator[str]:
-    """The text of ``value``, indented at ``pad``, in chunks; each per-bin list by :func:`_entries`."""
+    """The text of ``value``, indented at ``pad``, in chunks; each per-bin node by :func:`_entries`."""
     kind, inner = type(value), pad + "  "
     if kind is dict:  # small: key by key; encode_basestring_ascii raises on a non-str key
         for i, key in enumerate(sorted(value)):
@@ -415,31 +411,20 @@ def _render(value, pad: str) -> Iterator[str]:
         yield "\n" + pad + "}" if value else "{}"
     elif value is None or kind in (str, int, float, bool):
         yield json.dumps(value, indent=2, allow_nan=False)
-    elif kind is RecordColumns and value:  # a record: each field's head and text in turn, then the close
-        names, parts, rows = sorted(value), [], len(value[min(value)])  # the first column's length
-        for i, name in enumerate(names):  # each column checked before the first chunk
-            head = ("," if i else "{") + "\n" + inner + "  " + encode_basestring_ascii(name) + ": "
-            parts += [head, _column(value[name], rows)]
-        yield from _entries(pad, "[]", rows, [*parts, "\n" + inner + "}"])
-    elif kind is JsonCounts:
-        parts = [value.texts.__getitem__, ": ", lambda block: repr_texts(value.row[block])]
-        yield from _entries(pad, "{}", len(value.row), parts)
-    else:  # a column's list, checked before its length is taken; a node of no columns raises here
-        texts = _column(value)
-        yield from _entries(pad, "[]", len(value), [texts])
+    elif isinstance(value, PerBin):
+        yield from _entries(pad, value.brackets, value.rows, value.parts)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def render_json(doc: dict) -> str:
     """Canonical JSON rendering of a report: sorted keys, two-space indent, newline.
 
     ``doc`` is a dict with str keys whose values are such dicts, scalars (``None``, ``bool``,
-    ``int``, ``float``, ``str``) or column nodes: a 1-D float64 array renders as the list of its
-    values with NaN as ``null``, a :class:`JsonColumn` as the list of its texts, a
-    :class:`RecordColumns` node as its records and a :class:`JsonCounts` node as its dict. The
+    ``int``, ``float``, ``str``) or :class:`PerBin` nodes, :class:`JsonCounts` among them. The
     text equals ``json.dumps(sort_keys=True, indent=2, allow_nan=False) + "\\n"`` of the plain
     document, and a non-finite float raises the same ``ValueError``. Any other value (a list, a
-    tuple, a subclass, a non-str key, another array, a node of no columns or of columns of more
-    than one length) raises ``TypeError``. Each column is checked before its node's first chunk.
+    tuple, a subclass of dict or of a scalar type, a non-str key, an array) raises ``TypeError``.
     """
     return "".join(chain(_render(doc, ""), ["\n"]))
 

@@ -182,8 +182,8 @@ class EnsembleCounts:
 
     ``total_emitted`` is the number of systems the source produced while the
     histogram was collected; systems lost in transit appear in the difference
-    ``total_emitted - total_detected``. Each count is an ``int >= 0`` (not a bool, float,
-    str or numpy integer) and their sum is below 2**63, or ``ValueError`` names the context.
+    ``total_emitted - total_detected``. ``total_emitted`` and each count are an ``int >= 0`` (not a
+    bool, float, str or numpy integer) and the counts sum below 2**63, or ``ValueError`` names the context.
     ``counts`` is a read-only copy, so the total stays theirs.
     """
 
@@ -193,6 +193,8 @@ class EnsembleCounts:
     total_detected: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not is_int(total := self.total_emitted, 0):
+            raise ValueError(f"context {self.context_id!r}: total_emitted {total!r} is not an int >= 0")
         object.__setattr__(self, "counts", FrozenDict(self.counts))
         values = self.counts.values()
         if not set(map(type, values)) <= {int} or min(values, default=0) < 0:

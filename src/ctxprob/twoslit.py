@@ -63,7 +63,7 @@ CONTEXT_IDS = ("S", "S1", "S2")
 #: reach the screen when only one opening is active.
 BRANCH_ACCEPTANCE = 0.5
 
-#: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 561 MiB of memory.
+#: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 546 MiB of memory.
 MAX_BINS = 2**21
 #: Most runs accepted: sampling time grows with the (context, run) pairs drawn.
 MAX_RUNS = 2**16

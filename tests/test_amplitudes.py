@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,14 @@ class TestTwoSlitWave:
         args = {"p1": [0.125] * 8, "p2": [0.125] * 8, "theta": [math.pi / 2] * 8, "h": 1.0}
         args[field] = value if field == "h" else [value] + args[field][1:]
         with pytest.raises(ValueError, match="finite"):
+            synthesize_two_slit_wave(**args)
+
+    @pytest.mark.parametrize("field, entry", [("p1", "0.5"), ("p2", True), ("theta", None), ("theta", "0")])
+    def test_per_bin_entries_are_numbers(self, field, entry):
+        # Unchecked, "0.5" and True were converted, and None read as NaN.
+        args = {"p1": [0.125] * 8, "p2": [0.125] * 8, "theta": [math.pi / 2] * 8}
+        args[field] = [entry] + args[field][1:]
+        with pytest.raises(ValueError, match=f"^expected a number, got {re.escape(repr(entry))}$"):
             synthesize_two_slit_wave(**args)
 
     def test_wave_invariants(self):

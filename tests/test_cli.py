@@ -458,6 +458,12 @@ class TestSimulate:
         code, out, stderr = run_cli(capsys, "pattern", write_scenario(tmp_path, **overrides))
         assert (code, out, stderr) == (2, "", err)
 
+    @pytest.mark.parametrize("doc", [[], "scenario", None], ids=["array", "string", "null"])
+    def test_a_scenario_that_is_not_an_object_is_refused(self, doc):
+        with pytest.raises(ScenarioError) as raised:
+            cli.parse_scenario(doc)
+        assert raised.value.problems == [("", f"expected a JSON object, got {doc!r}")]
+
     @pytest.mark.parametrize("text, message", [
         (b'{"grid": \xff}', "cannot read scenario file"),
         (b'{"grid": 1' + b"0" * 5000 + b"}", "invalid JSON"),
@@ -835,86 +841,103 @@ TEXT = st.text(max_size=6) | st.sampled_from(["%", "%s", '"', "\n", "é", "∑ %
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e300])
 SCALARS = FLOATS | st.integers() | st.booleans() | st.none() | TEXT
 
-#: 1-D float64 arrays, which render as lists with NaN as null.
-ARRAYS = st.lists(FLOATS | st.just(math.nan), max_size=4).map(lambda v: np.array(v, float))
-#: Values already rendered as JSON text, which render as the list of them.
-JSON_COLUMNS = st.lists(SCALARS, max_size=4).map(
-    lambda v: cli.JsonColumn(map(json.dumps, v))
-)
-
-
-def plain(value):
-    """``value`` with each record-columns node replaced by its records, each float64
-    array by its list, NaN in an array read as None, and each JSON-text column by
-    the values its texts read as."""
-    if isinstance(value, np.ndarray):
-        return [None if v != v else v for v in value.tolist()]
-    if isinstance(value, cli.JsonColumn):
-        return list(map(json.loads, value))
-    if isinstance(value, cli.RecordColumns):
-        columns = [plain(c) for c in value.values()]
-        return [dict(zip(value, row)) for row in zip(*columns)]
-    if isinstance(value, dict):
-        return {k: plain(v) for k, v in value.items()}
-    return value
-
-
 NODE_FLOATS = st.floats(allow_infinity=False) | st.sampled_from(
     [math.nan, -0.0, 5e-324, 2.5e-310, 1e-05, 1e16, 0.1]
 )
 
 
+class Floats(list):
+    """A float64 column: its node renders each value's ``repr``, NaN as null."""
+
+
+class Texts(list):
+    """A column of JSON values: its node renders the texts json.dumps gives them."""
+
+
+class Records(dict):
+    """Records as columns of one length, ``Floats`` or ``Texts``: its node renders the list of records."""
+
+
+class Counts(dict):
+    """A counts object ``{label: count}``: its node is a ``JsonCounts``."""
+
+
+def part(column):
+    """The part that gives a block's texts of a column."""
+    if type(column) is Floats:
+        return cli._floats(np.array(column, float))
+    return list(map(json.dumps, column)).__getitem__
+
+
+def node(doc):
+    """``doc`` as a report holds it: each column, records or counts as a per-bin node."""
+    kind = type(doc)
+    if kind is Records:  # each field's head a str part, indented where the list is rendered
+        parts = []
+        for i, name in enumerate(sorted(doc)):
+            parts += [("," if i else "{") + "\n    " + json.dumps(name) + ": ", part(doc[name])]
+        return cli.PerBin("[]", len(next(iter(doc.values()))), [*parts, "\n  }"])
+    if kind is Counts:
+        labels = sorted(doc)
+        row = np.array([doc[label] for label in labels], np.int64)
+        return cli.JsonCounts(labels, list(map(json.dumps, labels)), row)
+    if kind in (Floats, Texts):
+        return cli.PerBin("[]", len(doc), [part(doc)])
+    return {k: node(v) for k, v in doc.items()} if kind is dict else doc
+
+
+def plain(doc):
+    """``doc`` as json.dumps is given it, NaN in a float column read as None. A node the program
+    built reads back as its entries, each parsed from a block of all rows on its own."""
+    if isinstance(doc, (Counts, cli.JsonCounts)):
+        return dict(doc)
+    if isinstance(doc, cli.PerBin):
+        texts = [[p] * doc.rows if type(p) is str else p(slice(0, doc.rows)) for p in doc.parts]
+        return [json.loads("".join(entry)) for entry in zip(*texts)]
+    if type(doc) is Records:
+        return [dict(zip(doc, row)) for row in zip(*map(plain, doc.values()))]
+    if type(doc) is Floats:
+        return [None if v != v else v for v in doc]
+    return {k: plain(v) for k, v in doc.items()} if isinstance(doc, dict) else doc
+
+
+def columns(rows):
+    return st.one_of(
+        st.lists(NODE_FLOATS, min_size=rows, max_size=rows).map(Floats),
+        st.lists(SCALARS, min_size=rows, max_size=rows).map(Texts),
+    )
+
+
 @st.composite
-def record_columns(draw):
-    """A node of float64 and JSON-text columns of one length."""
-    rows = draw(st.integers(0, 9))
-    column = st.sampled_from([
-        st.lists(NODE_FLOATS, min_size=rows, max_size=rows).map(np.array),
-        st.lists(SCALARS, min_size=rows, max_size=rows).map(
-            lambda v: cli.JsonColumn(map(json.dumps, v))
-        ),
-    ])
-    names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
-    return cli.RecordColumns({name: draw(draw(column)) for name in names})
+def per_bin_docs(draw):
+    """A float or text column, records or counts, of 0 to 9 rows."""
+    rows, shape = draw(st.integers(0, 9)), draw(st.sampled_from([Records, Counts, list]))
+    if shape is Records:
+        names = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+        return Records({name: draw(columns(rows)) for name in names})
+    if shape is Counts:
+        labels = draw(st.lists(TEXT, min_size=rows, max_size=rows, unique=True))
+        return Counts(zip(labels, draw(st.lists(st.integers(0, 2**63 - 1), min_size=rows, max_size=rows))))
+    return draw(columns(rows))
 
 
 DOCUMENTS = st.recursive(
-    SCALARS | ARRAYS | JSON_COLUMNS | record_columns(),
+    SCALARS | per_bin_docs(),
     lambda children: st.dictionaries(TEXT, children, max_size=4),
     max_leaves=30,
 )
 
 
 class TestRenderJson:
-    @given(record_columns(), st.integers(1, 4), st.integers(0, 2))
-    def test_record_columns_render_as_their_records(self, node, block_rows, depth):
-        doc = node
-        for _ in range(depth):
-            doc = {"x": 1, "y": doc}
+    @given(DOCUMENTS, st.integers(1, 4))
+    def test_matches_json_dumps(self, doc, block_rows):
         with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
-            assert cli.render_json(doc) == canonical(plain(doc))
+            assert cli.render_json(node(doc)) == canonical(plain(doc))
 
     def test_equal_floats_of_other_bits_keep_their_own_text(self):
-        node = cli.RecordColumns({"v": np.array([0.0, -0.0, 1e16, -0.0, 0.0, math.nan, 1e16])})
-        doc = {"a": node, "b": {"c": node}}
-        assert cli.render_json(doc) == canonical(plain(doc))
-
-    @given(DOCUMENTS)
-    def test_matches_json_dumps(self, doc):
-        assert cli.render_json(doc) == canonical(plain(doc))
-
-    @pytest.mark.parametrize("array", [
-        np.array([1, 2, 3]), np.array([1.5, 2.5], np.float32), np.array([1.0, 2.0], object),
-        np.array([[1.0, 2.0]]), np.array([], np.int64),
-    ], ids=["int64", "float32", "object", "2-D float64", "empty int64"])
-    def test_other_arrays_raise_as_json_does(self, array):
-        with pytest.raises(TypeError) as expected:
-            canonical({"n": array})
-        # a column is checked when its node is rendered, so an empty one raises as a list of it does
-        for doc in [{"n": array}, {"n": cli.RecordColumns({"a": array})}]:
-            with pytest.raises(TypeError) as raised:
-                cli.render_json(doc)
-            assert str(raised.value) == str(expected.value)
+        column = Floats([0.0, -0.0, 1e16, -0.0, 0.0, math.nan, 1e16])
+        doc = {"a": column, "b": {"c": Records({"v": column})}}
+        assert cli.render_json(node(doc)) == canonical(plain(doc))
 
     @pytest.mark.parametrize("value", [object(), np.array(1.0)], ids=["object", "0-d float64"])
     def test_a_value_without_a_length_raises_as_json_does(self, value):
@@ -924,37 +947,25 @@ class TestRenderJson:
             cli.render_json({"n": value})
         assert str(raised.value) == str(expected.value)
 
-    @pytest.mark.parametrize("node", [
-        cli.RecordColumns({"a": np.array([1.0, 2.0]), "b": np.array([1.0])}),
-        cli.RecordColumns({"a": np.array([1.0, 2.0]), "b": cli.JsonColumn(["1"])}),
-        cli.RecordColumns({"a": cli.JsonColumn(["1"]), "b": np.array([1.0, 2.0])}),
-        cli.RecordColumns(),
-    ], ids=["float64 2 and 1", "float64 2, texts 1", "texts 1, float64 2", "no columns"])
-    def test_a_node_without_one_length_raises(self, node):
-        with pytest.raises(TypeError, match="^Object of type [A-Za-z]+ is not JSON serializable$"):
-            cli.render_json({"n": node})
-
-    def test_every_column_is_checked_before_the_first_chunk(self):
-        values = np.array([1.0, 2.0, math.nan, 4.0, math.inf])  # +inf in the last block of 2 rows
-        node = cli.RecordColumns({"a": cli.JsonColumn(["1"] * 5), "v": values})
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_every_column_is_checked_before_the_first_chunk(self, bad):
+        report = run_experiment(cli.parse_scenario(SCENARIO))
+        z = report.table.z.copy()
+        z[-1] = bad  # the last bin's
+        report = dataclasses.replace(report, table=dataclasses.replace(report.table, z=z))
         with pytest.raises(ValueError) as expected:
-            canonical(plain(node))
-        with mock.patch.object(cli, "BLOCK_ROWS", 2), pytest.raises(ValueError) as raised:
-            next(cli._render(node, ""))
+            canonical([1.0, bad])
+        with pytest.raises(ValueError) as raised:
+            cli.report_document(report)  # as the document is built, before any text of it exists
         assert str(raised.value) == str(expected.value)
-
-    def test_json_column_renders_as_its_texts_anywhere(self):
-        column = cli.JsonColumn(["1", '"a"', "null"])
-        expected = canonical({"j": [1, "a", None], "k": {"l": [1, "a", None]}, "e": []})
-        assert cli.render_json({"j": column, "k": {"l": column}, "e": cli.JsonColumn()}) == expected
 
     @pytest.mark.parametrize("doc", [
         {"a": [1.0, 2.0]},
         {"a": (1.0, 2.0)},
         {"a": {2: 1.0}},
         {"a": object()},
-        {"a": cli.RecordColumns({"b": [1.0, 2.0]})},
-    ], ids=["list", "tuple", "int key", "object", "list column"])
+        {"a": np.array([1.0, 2.0])},
+    ], ids=["list", "tuple", "int key", "object", "float64 array"])
     def test_shapes_a_report_does_not_hold_raise(self, doc):
         with pytest.raises(TypeError):
             cli.render_json(doc)
@@ -963,17 +974,15 @@ class TestRenderJson:
     @pytest.mark.parametrize("where", [
         lambda v: {"a": None, "b": v},
         lambda v: {"a": {"b": {"c": v}}, "d": "text"},
-        # NaN in a float64 column is null; the leaf's NaN raises after it
-        lambda v: {"a": cli.RecordColumns({"a": np.array([1.0, v])}), "b": v},
-        # likewise NaN in a float64 array; the leaf's NaN after it raises
-        lambda v: {"a": np.array([math.nan, -0.0, v]), "b": v},
+        # NaN in a float column is null; the leaf's NaN raises after it
+        lambda v: {"a": Records({"a": Floats([1.0, v])}), "b": v},
+        lambda v: {"a": Floats([math.nan, -0.0, v]), "b": v},
     ], ids=["none/float column", "nested leaf", "node", "array"])
     def test_non_finite_floats_raise_as_json_does(self, bad, where):
-        doc = where(bad)
         with pytest.raises(ValueError) as expected:
-            canonical(plain(doc))
-        with pytest.raises(ValueError) as raised:
-            cli.render_json(doc)
+            canonical(plain(where(bad)))
+        with pytest.raises(ValueError) as raised:  # a +-inf in a column raises as its node is built
+            cli.render_json(node(where(bad)))
         assert str(raised.value) == str(expected.value)
 
 
@@ -1107,9 +1116,14 @@ class TestCountsNode:
         scenario = cli.parse_scenario({**SCENARIO, "phase": phase})
         doc = cli.simulation_document(scenario, run_experiment(scenario))
         echo = doc["scenario"]
-        for value in (doc["report"]["counts"]["S"]["counts"], echo["phase"]["theta"], echo["envelope1"]):
+        counts = doc["report"]["counts"]["S"]["counts"]
+        for value, expected in [
+            (counts, dict(counts)),
+            (echo["phase"]["theta"], scenario.phase_table().tolist()),
+            (echo["envelope1"], scenario.envelope1.tolist()),
+        ]:
             whole = "".join(cli._render(value, "    "))
-            assert json.loads(whole) == (dict(value) if type(value) is cli.JsonCounts else plain(value))
+            assert json.loads(whole) == expected
             with mock.patch.object(cli, "BLOCK_ROWS", 2):
                 chunks = list(cli._render(value, "    "))
             assert "".join(chunks) == whole

@@ -134,6 +134,14 @@ class TestEnsembleCounts:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EnsembleCounts("S1", {"a": 2, "b": count, "c": 1.5}, 10)
 
+    @pytest.mark.parametrize("total", ["x", -5, True, 2.0, np.int64(3), None],
+                             ids=["str", "negative", "bool", "float", "numpy int", "none"])
+    def test_total_emitted_is_an_int_of_at_least_zero(self, total):
+        message = f"context 'S': total_emitted {total!r} is not an int >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EnsembleCounts("S", {"a": 1}, total)
+        assert EnsembleCounts("S", {"a": 1}, 0).total_emitted == 0  # below the detected total stays allowed
+
     @pytest.mark.parametrize("counts", [{"a": 2**63}, {"a": 2**62, "b": 2**62}])
     def test_total_is_below_2_63(self, counts):
         with pytest.raises(ValueError, match="^context 'S' counts total 2\\*\\*63 or more$"):
