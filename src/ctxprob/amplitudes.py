@@ -9,10 +9,11 @@ modulus ``x^2 - y^2`` turns the cos in the identity into a cosh.
 
 Amplitudes carry no physics of their own here; they are bookkeeping for
 ensembles. Only phase differences are observable, so synthesized waves fix
-the gauge ``theta2 = 0`` by default and record the chosen per-branch phases.
+the gauge ``theta2 = 0`` by default.
 
-Scalar helpers return ``complex`` values, a wave read-only complex128 and
-float64 arrays. All functions are pure and all records immutable.
+Scalar helpers return ``complex`` values, a wave holds a read-only
+complex128 array and its Born probabilities are float64. All functions are
+pure and all records immutable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, is_finite, read_only, same_fields
+from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, read_only, same_fields
 from .errors import NormalizationError
 
 
@@ -41,12 +42,6 @@ class SplitComplex:
     def __add__(self, other: SplitComplex) -> SplitComplex:
         return SplitComplex(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: SplitComplex) -> SplitComplex:
-        return SplitComplex(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> SplitComplex:
-        return SplitComplex(-self.x, -self.y)
-
     def __mul__(self, other: SplitComplex | float | int) -> SplitComplex:
         if isinstance(other, SplitComplex):
             return SplitComplex(
@@ -56,9 +51,6 @@ class SplitComplex:
         return SplitComplex(self.x * other, self.y * other)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> SplitComplex:
-        return SplitComplex(self.x, -self.y)
 
     @classmethod
     def hyperbolic_exp(cls, theta: float) -> SplitComplex:
@@ -97,25 +89,18 @@ def synthesize_wave(
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityWave:
-    """Complex amplitudes over the bins of an outcome space, as read-only 1-D arrays of one length.
+    """Complex amplitudes over the bins of an outcome space, as a read-only 1-D array.
 
     Contract: every ``|amp|^2`` lies in [0, 1] and the squared moduli sum to
-    1 within 1e-9. ``theta1``/``theta2`` record the per-bin phase gauge used
-    at synthesis; ``scaling`` records the positive phase scale ``h``, which
-    never enters the arithmetic.
+    1 within 1e-9.
     """
 
     amplitudes: np.ndarray
-    theta1: np.ndarray
-    theta2: np.ndarray
-    scaling: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, dtype in (("amplitudes", complex), ("theta1", float), ("theta2", float)):
-            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
-        shapes = self.amplitudes.shape, self.theta1.shape, self.theta2.shape
-        if not shapes[0] == shapes[1] == shapes[2] or len(shapes[0]) != 1:
-            raise ValueError(f"amplitudes, theta1 and theta2 must be 1-D and of one length: got {shapes}")
+        object.__setattr__(self, "amplitudes", read_only(self.amplitudes, complex))
+        if self.amplitudes.ndim != 1:
+            raise ValueError(f"amplitudes must be 1-D: got shape {self.amplitudes.shape}")
 
     __eq__ = same_fields
 
@@ -124,12 +109,7 @@ class ProbabilityWave:
         return np.abs(self.amplitudes) ** 2
 
 
-def synthesize_two_slit_wave(
-    p1,
-    p2,
-    theta,
-    h: float = 1.0,
-) -> ProbabilityWave:
+def synthesize_two_slit_wave(p1, p2, theta) -> ProbabilityWave:
     """Superposed wave for a symmetric two-branch arrangement.
 
     ``p1``, ``p2`` and ``theta`` are per-bin sequences of one length, one
@@ -147,8 +127,6 @@ def synthesize_two_slit_wave(
             1e-9, i.e. the supplied envelopes and phases do not form a
             normalizable pattern on this grid.
     """
-    if not (is_finite(h) and h > 0.0):
-        raise ValueError(f"scaling factor must be positive and finite, got {h!r}")
     shapes = [np.shape(v) for v in (p1, p2, theta)]
     if not (shapes[0] == shapes[1] == shapes[2] and len(shapes[2]) == 1):
         raise ValueError("per-bin inputs must be 1-D and of one length: got {}, {}, {}".format(*shapes))
@@ -156,7 +134,7 @@ def synthesize_two_slit_wave(
     if not (np.isfinite(theta).all() and all(((0.0 <= p) & (p < math.inf)).all() for p in (p1, p2))):
         raise ValueError("per-bin probabilities must be finite and nonnegative, and phases finite")
     amplitudes = (np.sqrt(p1) * np.exp(1j * theta) + np.sqrt(p2)) / math.sqrt(2.0)
-    wave = ProbabilityWave(amplitudes, theta, np.zeros(len(theta)), h)
+    wave = ProbabilityWave(amplitudes)
     defect = abs(float(wave.born_probabilities().sum()) - 1.0)
     if not defect <= DISTRIBUTION_SUM_TOL:  # a NaN defect fails too
         raise NormalizationError(

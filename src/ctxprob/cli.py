@@ -248,7 +248,10 @@ def load_scenario(path: str) -> TwoSlitScenario:
         doc = json.loads(text, parse_constant=reject_constant)
     except ValueError as exc:  # JSONDecodeError, or an integer beyond Python's digit limit
         raise ScenarioError([(path, f"invalid JSON: {exc}")])
-    return parse_scenario(doc)
+    try:
+        return parse_scenario(doc)
+    except ScenarioError as exc:  # a problem without a field is the document's own: name its file
+        raise ScenarioError([(field or path, message) for field, message in exc.problems]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -225,10 +225,10 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
     out: list[Violation] = []
     declared = set(space.bins)
     keys = set(dist.probs)
-    for missing in sorted(declared - keys):
+    for missing in sorted(declared - keys, key=str):
         message = f"context {dist.context_id!r} has no probability for bin {missing!r}"
         out.append(Violation("distribution.covers_space", message, bin=missing))
-    for extra in sorted(keys - declared):
+    for extra in sorted(keys - declared, key=str):  # the keys may mix types
         message = f"context {dist.context_id!r} assigns probability to undeclared bin {extra!r}"
         out.append(Violation("distribution.covers_space", message, bin=extra))
     for label, p in dist.probs.items():

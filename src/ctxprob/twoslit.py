@@ -488,7 +488,7 @@ def decompose_empirical(
         if len(c.counts) != len(space.bins) or c.counts.keys() != bins:
             raise ValueError(
                 f"context {c.context_id!r} counts do not cover the outcome space exactly "
-                f"(first differences: {sorted(bins ^ c.counts.keys())[:5]})"
+                f"(first differences: {sorted(bins ^ c.counts.keys(), key=str)[:5]})"
             )
     n = len(space.bins)
     counts = np.stack([np.fromiter(map(c.counts.__getitem__, space.bins), np.int64, n) for c in ensembles])

@@ -464,6 +464,14 @@ class TestSimulate:
             cli.parse_scenario(doc)
         assert raised.value.problems == [("", f"expected a JSON object, got {doc!r}")]
 
+    @pytest.mark.parametrize("text, shown", [("[1]", "[1]"), ("null", "None"), ('"x"', "'x'")],
+                             ids=["array", "null", "string"])
+    def test_a_scenario_file_that_is_not_an_object_is_named(self, capsys, tmp_path, text, shown):
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "pattern", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: expected a JSON object, got {shown}\n")
+
     @pytest.mark.parametrize("text, message", [
         (b'{"grid": \xff}', "cannot read scenario file"),
         (b'{"grid": 1' + b"0" * 5000 + b"}", "invalid JSON"),

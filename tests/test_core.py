@@ -116,6 +116,18 @@ class TestValidateModel:
             for v in validate_model(model)
         )
 
+    @pytest.mark.parametrize("space, probs, bins", [
+        (("a",), {"a": 0.5, "x": 0.25, 3: 0.25}, [3, "x"]),  # mixed key types
+        (("a", "c", "b"), {"a": 0.5, "z": 0.25, "y": 0.25}, ["b", "c", "y", "z"]),
+    ], ids=["mixed", "str"])
+    def test_uncovered_bins_are_reported_in_label_order(self, space, probs, bins):
+        full = ContextualDistribution("S", dict.fromkeys(space, 1.0 / len(space)))
+        model = ContextualModel(OutcomeSpace(space), full, ContextualDistribution("S1", probs), full,
+                                SplittingCoefficients(0.5, 0.5))
+        violations = [v for v in validate_model(model) if v.invariant == "distribution.covers_space"]
+        assert [v.bin for v in violations] == bins
+        assert violations[-1].message.endswith(f"bin {bins[-1]!r}")
+
 
 class TestSpaceAndCounts:
     def test_empty_space(self):

@@ -813,6 +813,16 @@ class TestReportShape:
         with pytest.raises(ValueError, match="do not cover"):
             decompose_empirical(OutcomeSpace(report.labels[1:]), *counts)
 
+    @pytest.mark.parametrize("labels, counts, differences", [
+        ([1, 2], {1: 5, 2: 5}, r"\[(1, '1'|'1', 1), (2, '2'|'2', 2)\]"),  # the space holds "1" and "2"
+        (["a", "b"], {"a": 5, 3: 5}, r"\[3, 'b'\]"),
+        (["a", "b"], {"a": 5, "c": 5}, r"\['b', 'c'\]"),
+    ], ids=["int-keys", "mixed-keys", "str-keys"])
+    def test_uncovered_bins_are_a_value_error(self, labels, counts, differences):
+        counts = [EnsembleCounts(which, counts, 10) for which in ("S", "S1", "S2")]
+        with pytest.raises(ValueError, match=f"context 'S' .* \\(first differences: {differences}\\)$"):
+            decompose_empirical(OutcomeSpace(labels), *counts)
+
     @pytest.mark.parametrize("counts", [
         {"a": 10**20, "b": 5},  # beyond int64 in one bin
         {"a": 2**62, "b": 2**62},  # each bin fits; the total would wrap to -2**63
