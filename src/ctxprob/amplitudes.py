@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, read_only, same_fields
+from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, is_finite, read_only, same_fields
 from .errors import NormalizationError
 
 
@@ -54,8 +54,11 @@ class SplitComplex:
 
     @classmethod
     def hyperbolic_exp(cls, theta: float) -> SplitComplex:
-        """Unit-modulus element ``cosh(theta) + j*sinh(theta)``."""
-        return cls(math.cosh(theta), math.sinh(theta))
+        """Unit-modulus element ``cosh(theta) + j*sinh(theta)``; ``ValueError`` unless ``theta`` is
+        a finite number (not a bool) whose cosh is finite."""
+        if is_finite(theta) and abs(theta) <= math.acosh(np.finfo(float).max):
+            return cls(math.cosh(theta), math.sinh(theta))
+        raise ValueError(f"hyperbolic phase {theta!r} is not a finite number with a finite cosh")
 
 
 def split_modulus(z: SplitComplex) -> float:
@@ -79,8 +82,12 @@ def synthesize_wave(
     ``theta2`` fixes the gauge (default 0, the simplest representative).
 
     The squared modulus equals ``forward_trig(coeffs, p1, p2, theta)``
-    within 1e-12.
+    within 1e-12. ``ValueError`` unless ``p1``, ``p2`` and the phases are finite
+    numbers (not bools) and ``p1``, ``p2`` are at least 0.
     """
+    if not all(map(is_finite, (p1, p2, theta, theta2))) or min(p1, p2) < 0.0:
+        got = f"p1 {p1!r}, p2 {p2!r}, theta {theta!r}, theta2 {theta2!r}"
+        raise ValueError(f"p1 and p2 must be finite and >= 0 and the phases finite, got {got}")
     theta1 = theta2 + theta
     a = math.sqrt(coeffs.c1 * p1)
     b = math.sqrt(coeffs.c2 * p2)

@@ -715,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.add_argument(
-        "--workers", type=_workers, default=1, help="thread count for (context, run) tasks (>= 1)"
+        "--workers", type=_workers, default=1,
+        help="checked (>= 1) but changes neither the report nor its speed: each context is one draw",
     )
     p.set_defaults(func=cmd_simulate)
 

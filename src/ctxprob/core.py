@@ -90,6 +90,12 @@ def ordered_sum(values) -> float:
         return float(np.cumsum(values, dtype=float)[-1]) if len(values) else 0.0
 
 
+def label_order(label) -> tuple[str, str]:
+    """A sort key for labels of mixed types, ``str`` then ``repr``: ``1`` and ``"1"`` print alike but
+    sort apart, so a sorted set of labels does not follow the set's hash order."""
+    return str(label), repr(label)
+
+
 class FrozenDict(dict):
     """A dict that refuses every write once made, so a record's checked copy stays as checked.
     It pickles and copies as a new one."""
@@ -225,10 +231,10 @@ def validate_distribution(dist: ContextualDistribution, space: OutcomeSpace) -> 
     out: list[Violation] = []
     declared = set(space.bins)
     keys = set(dist.probs)
-    for missing in sorted(declared - keys, key=str):
+    for missing in sorted(declared - keys, key=label_order):
         message = f"context {dist.context_id!r} has no probability for bin {missing!r}"
         out.append(Violation("distribution.covers_space", message, bin=missing))
-    for extra in sorted(keys - declared, key=str):  # the keys may mix types
+    for extra in sorted(keys - declared, key=label_order):  # the keys may mix types
         message = f"context {dist.context_id!r} assigns probability to undeclared bin {extra!r}"
         out.append(Violation("distribution.covers_space", message, bin=extra))
     for label, p in dist.probs.items():

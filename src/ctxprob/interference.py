@@ -179,8 +179,11 @@ def _check_reals(coeffs: SplittingCoefficients, **values) -> None:
 
 
 def _forward_terms(coeffs: SplittingCoefficients, p1: float, p2: float, theta: float) -> tuple[float, float]:
-    """``c1*p1 + c2*p2`` and ``2*sqrt(c1*p1*c2*p2)``; ``ValueError`` on an input ``float`` refuses."""
+    """``c1*p1 + c2*p2`` and ``2*sqrt(c1*p1*c2*p2)``; ``ValueError`` on an input ``float`` refuses
+    or an array, since the forward transforms take one bin's numbers."""
     _check_reals(coeffs, p1=p1, p2=p2, theta=theta)
+    if wrong := [name for name, v in (("p1", p1), ("p2", p2), ("theta", theta)) if isinstance(v, np.ndarray)]:
+        raise ValueError(f"{wrong[0]} is an array; the forward transforms take one bin's numbers")
     return total_probability(coeffs, p1, p2), 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
 
 

@@ -14,11 +14,10 @@ acceptance draw with probability 1/2 (only one opening is active, so on
 average half the systems come through) and the survivors land in bins drawn
 from that branch's envelope. Contexts are sampled independently.
 
-Each (context, run) pair gets its own counter-based random stream, Philox keyed by
-numpy's ``SeedSequence(entropy=seed, spawn_key=(context index, run index))``, so runs
-may be executed concurrently in any order and the aggregate result is identical to
-sequential execution. The keys of all pairs are computed in one array pass, and each
-stripe of pairs reuses one generator, reset to each pair's key.
+Each draw is Philox keyed by ``SeedSequence(entropy=seed, spawn_key=(context index, run index))``.
+Multinomials (and binomials) with one ``p`` sum to one of the summed systems, so R runs of n
+systems have the law of one run of nR, and :func:`run_experiment` draws each context once,
+from the key ``(context index, 0)``; :func:`simulate_context` draws one run of one context.
 
 The analysis half estimates every contextual quantity from the simulated (or
 externally supplied) histograms: splitting coefficients with their sharing
@@ -31,8 +30,6 @@ branch distributions.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +46,7 @@ from .core import (
     is_int,
     is_number,
     is_real,
+    label_order,
     ordered_sum,
     read_only,
     same_fields,
@@ -65,7 +63,7 @@ BRANCH_ACCEPTANCE = 0.5
 
 #: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 546 MiB of memory.
 MAX_BINS = 2**21
-#: Most runs accepted: sampling time grows with the (context, run) pairs drawn.
+#: Most runs accepted and bound of :func:`simulate_context`'s run index; runs cost no sampling time.
 MAX_RUNS = 2**16
 
 
@@ -345,50 +343,13 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     return ContextualDistribution("S", dict(zip(scenario.grid.labels(), pattern.tolist())))
 
 
-def _hasher(const: int, mult: int):
-    """numpy ``SeedSequence``'s ``hashmix`` on uint32 arrays, its constants running ``const * mult**k``."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & 0xFFFFFFFF
-        value = value * const
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = 0xCA01F9DD * x - 0x4973F715 * y
-    return r ^ r >> 16
-
-
-def _philox_keys(seed: int, contexts: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Each (context, run) pair's Philox key in one pass, a uint64 row per pair: the words of
-    ``SeedSequence(entropy=seed, spawn_key=(context, run)).generate_state(2, np.uint64)``.
-    numpy hashes the words ``[seed_lo, seed_hi, 0, 0, context, run]`` into a pool of 4. The first
-    four give ``SeedSequence(seed)``'s pool (it hashes missing words as 0) after 16 hashes, so the
-    chain goes on from its 17th constant; a run is one word."""
-    hashmix = _hasher(0x43B0D7E5 * 0x931E8875**16 & 0xFFFFFFFF, 0x931E8875)
-    pool = list(np.random.SeedSequence(seed).pool.reshape(4, 1))
-    for word in (contexts.astype(np.uint32), runs.astype(np.uint32)):
-        pool = [_mix(p, hashmix(word)) for p in pool]
-    lo0, hi0, lo1, hi1 = map(_hasher(0x8B51F9DD, 0x58F38DED), pool)  # generate_state's hash
-    return np.stack([lo0 | hi0.astype(np.uint64) << 32, lo1 | hi1.astype(np.uint64) << 32], axis=1)
-
-
-def _samples(scenario: TwoSlitScenario, distributions: tuple[np.ndarray, ...], contexts, runs):
-    """Yield each (context, run) pair's context index and histogram, drawn from one generator
-    reset to the stream of ``Philox(SeedSequence(entropy=seed, spawn_key=(context, run)))``."""
-    bitgen = np.random.Philox(0)
-    rng, state = np.random.Generator(bitgen), bitgen.state
-    for context, key in zip(contexts.tolist(), _philox_keys(scenario.seed, contexts, runs)):
-        state["state"]["key"] = key
-        bitgen.state = state
-        detected = scenario.n_emitted
-        if context:  # a branch context passes each system with probability 1/2
-            detected = int(rng.binomial(detected, BRANCH_ACCEPTANCE))
-        yield context, rng.multinomial(detected, distributions[context])
+def _draw(seed: int, distribution: np.ndarray, context: int, run: int, systems: int) -> np.ndarray:
+    """The histogram of ``systems`` emitted systems under the context at index ``context`` of
+    ``CONTEXT_IDS``, drawn from ``Philox(SeedSequence(entropy=seed, spawn_key=(context, run)))``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(context, run))))
+    if context:  # a branch context passes each system with probability 1/2
+        systems = int(rng.binomial(systems, BRANCH_ACCEPTANCE))
+    return rng.multinomial(systems, distribution)
 
 
 def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> EnsembleCounts:
@@ -402,8 +363,8 @@ def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> Ens
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
     if not is_int(run, 0, MAX_RUNS - 1):
         raise ValueError(f"run must be an int from 0 to {MAX_RUNS - 1}, got {run!r}")
-    distributions, _ = _distributions(scenario)
-    [(_, counts)] = _samples(scenario, distributions, np.array([CONTEXT_IDS.index(which)]), np.array([run]))
+    context = CONTEXT_IDS.index(which)
+    counts = _draw(scenario.seed, _distributions(scenario)[0][context], context, run, scenario.n_emitted)
     return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts.tolist())), scenario.n_emitted)
 
 
@@ -488,7 +449,7 @@ def decompose_empirical(
         if len(c.counts) != len(space.bins) or c.counts.keys() != bins:
             raise ValueError(
                 f"context {c.context_id!r} counts do not cover the outcome space exactly "
-                f"(first differences: {sorted(bins ^ c.counts.keys(), key=str)[:5]})"
+                f"(first differences: {sorted(bins ^ c.counts.keys(), key=label_order)[:5]})"
             )
     n = len(space.bins)
     counts = np.stack([np.fromiter(map(c.counts.__getitem__, space.bins), np.int64, n) for c in ensembles])
@@ -501,12 +462,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Simulate all three contexts and estimate the decomposition.
 
-    The (context, run) pairs are split into one stripe per thread of a pool
-    of ``workers`` threads, at most one per CPU; each thread adds its pairs'
-    histograms into its own counts, and the stripes' counts are added at the
-    end. Because every pair has its own random stream and the reduction is an
-    integer sum, the report is identical for any worker count and scheduling.
-    ``workers`` and ``tol`` are checked before anything is drawn.
+    Each context is one draw of ``n_emitted * runs`` systems keyed ``(context, 0)``, the law of
+    the sum of ``runs`` runs; at one run its counts are ``simulate_context(scenario, which, 0)``'s.
+    ``workers`` changes neither the report nor its speed; it and ``tol`` are checked first.
 
     Raises:
         ValueError: if ``workers`` is not an ``int >= 1`` (a bool is not) or ``tol`` not finite and positive.
@@ -517,25 +475,10 @@ def run_experiment(
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     check_tolerance(tol)
     distributions, raw_total = _distributions(scenario)
-    if scenario.n_emitted == 0:
-        raise ZeroEnsemble("pooled context has zero detected systems")
-
-    tasks = len(CONTEXT_IDS) * scenario.runs
-    stripes = min(workers, tasks, os.cpu_count() or 1)
-
-    def stripe(first: int) -> np.ndarray:  # the pairs first, first + stripes, ...
-        totals = np.zeros((len(CONTEXT_IDS), scenario.grid.bins), dtype=np.int64)
-        pairs = np.divmod(np.arange(first, tasks, stripes), scenario.runs)
-        for context, counts in _samples(scenario, distributions, *pairs):
-            totals[context] += counts
-        return totals
-
-    with ThreadPoolExecutor(max_workers=stripes) as pool:
-        totals = sum(pool.map(stripe, range(stripes)))
-
     emitted = scenario.n_emitted * scenario.runs
+    counts = np.stack([_draw(scenario.seed, p, i, 0, emitted) for i, p in enumerate(distributions)])
     x = scenario.grid.midpoints()
-    return _estimate(totals, (emitted,) * 3, tol, x, pattern_normalization=raw_total)
+    return _estimate(counts, (emitted,) * 3, tol, x, pattern_normalization=raw_total)
 
 
 def alternative_condition_check(report: ExperimentReport, n_sigma: float) -> tuple[bool, float]:

@@ -62,6 +62,19 @@ class TestSynthesizeWave:
         assert abs(shifted) ** 2 == pytest.approx(abs(base) ** 2, abs=1e-12)
         assert shifted == pytest.approx(base * cmath.exp(1j * theta2), abs=1e-12)
 
+    @pytest.mark.parametrize("args, shown", [
+        ((10**400, 0.5, 1.0, 0.0), "p1 10{400}, p2 0.5, theta 1.0, theta2 0.0"),
+        ((-0.2, 0.5, 1.0, 0.0), "p1 -0.2, p2 0.5, theta 1.0, theta2 0.0"),
+        ((0.5, None, 1.0, 0.0), "p1 0.5, p2 None, theta 1.0, theta2 0.0"),
+        ((0.5, 0.5, math.inf, 0.0), "p1 0.5, p2 0.5, theta inf, theta2 0.0"),
+        ((0.5, 0.5, True, 0.0), "p1 0.5, p2 0.5, theta True, theta2 0.0"),
+        ((0.5, 0.5, 1.0, math.nan), "p1 0.5, p2 0.5, theta 1.0, theta2 nan"),
+    ], ids=["10**400", "negative", "None", "inf", "bool", "nan-gauge"])
+    def test_scalars_outside_the_rules_are_a_value_error(self, args, shown):
+        message = f"^p1 and p2 must be finite and >= 0 and the phases finite, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_wave(HALF, *args)
+
 
 class TestSplitComplex:
     def test_real_unit(self):
@@ -73,6 +86,14 @@ class TestSplitComplex:
     def test_generic_value(self):
         z = SplitComplex(0.5, 0.0) + 0.2 * SplitComplex.hyperbolic_exp(1.0)
         assert split_modulus(z) == pytest.approx(SPLIT_MODULUS_AT_05_02_1, abs=1e-13)
+
+    @pytest.mark.parametrize("theta", [10**400, True, math.nan, math.inf, 711.0, -711.0, "1"],
+                             ids=["10**400", "True", "nan", "inf", "711", "-711", "str"])
+    def test_phases_outside_the_rules_are_a_value_error(self, theta):
+        message = f"hyperbolic phase {theta!r} is not a finite number with a finite cosh"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitComplex.hyperbolic_exp(theta)
+        assert SplitComplex.hyperbolic_exp(710.0).x < math.inf  # the largest cosh is about 710.48
 
     def test_multiplication_is_hyperbolic(self):
         # j * j = +1

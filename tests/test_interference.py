@@ -180,9 +180,11 @@ class TestClassify:
         (lambda: lambda_coefficient(HALF, 0.5, 10**400, 0.1), "^p1 = 10{400} is not a float or an int within"),
         (lambda: total_probability(HALF, 0.1, 10**400), "^p2 = 10{400} is not a float or an int within"),
         (lambda: perturbation_delta(HALF, 10**400, 0.1, 0.1), "^p_s = 10{400} is not a float or an int within"),
+        (lambda: forward_trig(HALF, np.array([0.1]), 0.1, 0.5), "^p1 is an array; the forward transforms take one"),
+        (lambda: forward_hyp(HALF, 0.1, 0.1, np.array(0.5), 1), "^theta is an array; the forward transforms take one"),
     ], ids=["classify", "forward-trig-theta", "forward-trig-p1", "forward-hyp-theta", "hyperbolic-theta",
             "hyperbolic-str", "hyperbolic-float-sign", "forward-hyp-float-sign", "lambda-coefficient-p1",
-            "total-probability-p2", "perturbation-delta-p-s"])
+            "total-probability-p2", "perturbation-delta-p-s", "forward-trig-array", "forward-hyp-array"])
     def test_ints_beyond_the_float_range_and_float_signs_are_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
