@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, is_finite, read_only, same_fields
+from .core import DISTRIBUTION_SUM_TOL, SplittingCoefficients, finite_cosh, is_finite, is_real, read_only
+from .core import same_fields
 from .errors import NormalizationError
 
 
@@ -33,11 +34,15 @@ class SplitComplex:
     """Hyperbolic number ``x + j*y`` with ``j^2 = +1``.
 
     The modulus form ``x^2 - y^2`` is indefinite; whether a negative value is
-    acceptable is checked at use sites, not here.
+    acceptable is checked at use sites. ``x`` and ``y`` must be numbers within the float range.
     """
 
     x: float
     y: float
+
+    def __post_init__(self) -> None:
+        if not (is_real(self.x) and is_real(self.y)):
+            raise ValueError(f"x {self.x!r} and y {self.y!r} must be floats or ints within the float range")
 
     def __add__(self, other: SplitComplex) -> SplitComplex:
         return SplitComplex(self.x + other.x, self.y + other.y)
@@ -54,11 +59,8 @@ class SplitComplex:
 
     @classmethod
     def hyperbolic_exp(cls, theta: float) -> SplitComplex:
-        """Unit-modulus element ``cosh(theta) + j*sinh(theta)``; ``ValueError`` unless ``theta`` is
-        a finite number (not a bool) whose cosh is finite."""
-        if is_finite(theta) and abs(theta) <= math.acosh(np.finfo(float).max):
-            return cls(math.cosh(theta), math.sinh(theta))
-        raise ValueError(f"hyperbolic phase {theta!r} is not a finite number with a finite cosh")
+        """Unit-modulus element ``cosh(theta) + j*sinh(theta)``; ``ValueError`` as ``core.finite_cosh``."""
+        return cls(finite_cosh(theta), math.sinh(theta))
 
 
 def split_modulus(z: SplitComplex) -> float:

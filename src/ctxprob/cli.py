@@ -241,7 +241,7 @@ def load_scenario(path: str) -> TwoSlitScenario:
         raise ScenarioError([(path, f"{name} is not a finite number")])
 
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([(path, f"cannot read scenario file: {exc}")])
     try:
@@ -519,7 +519,7 @@ def _read_counts(path: str) -> tuple[list[str], np.ndarray]:
             malformed counts, or a total of 2**63 or more.
     """
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([(path, f"cannot read counts file: {exc}")])
     columns = _plain_columns(text)

@@ -53,6 +53,14 @@ def is_real(value) -> bool:
     return is_finite(value) or isinstance(value, float)
 
 
+def finite_cosh(theta) -> float:
+    """``cosh(theta)``; ``ValueError`` unless ``theta`` is a finite number (not a bool) whose cosh is finite,
+    ``|theta|`` at most ``acosh`` of the largest float, about 710.48."""
+    if is_finite(theta) and abs(theta) <= math.acosh(sys.float_info.max):
+        return math.cosh(theta)
+    raise ValueError(f"hyperbolic phase {theta!r} is not a finite number with a finite cosh")
+
+
 def is_int(value, lo=-math.inf, hi=math.inf) -> bool:
     """Whether ``value`` is a plain ``int`` in ``[lo, hi]``; a bool, int subclass or numpy integer is not."""
     return type(value) is int and lo <= value <= hi
@@ -158,12 +166,18 @@ class SplittingCoefficients:
     These are proportions of detected systems, not conditional probabilities:
     the branch contexts are generally not events within the pooled context's
     probability space. ``empirical`` marks coefficients estimated from counts;
-    such estimates are deliberately not renormalized.
+    such estimates are deliberately not renormalized. ``c1`` and ``c2`` are
+    finite numbers >= 0, or ``ValueError`` names the first that is not.
     """
 
     c1: float
     c2: float
     empirical: bool = False
+
+    def __post_init__(self) -> None:
+        for name, c in (("c1", self.c1), ("c2", self.c2)):
+            if not (is_finite(c) and c >= 0.0):
+                raise ValueError(f"{name} = {c!r} is not a finite number >= 0")
 
     @property
     def deviation(self) -> float:
@@ -260,28 +274,17 @@ def validate_model(model: ContextualModel) -> list[Violation]:
     """Check every invariant of a contextual model.
 
     Returns an empty list iff the model is valid, and never raises. Violations are data: an
-    invalid model, a str or None coefficient or probability too, can be constructed and
-    inspected; it just cannot be fed to the decomposition operations.
+    invalid model, a str or None probability too, can be constructed and inspected; it just
+    cannot be fed to the decomposition operations.
     """
     out = validate_space(model.space)
     for dist in (model.dist_s, model.dist_s1, model.dist_s2):
         out.extend(validate_distribution(dist, model.space))
-    coeffs, finite = model.coeffs, True
-    for name, c in (("c1", coeffs.c1), ("c2", coeffs.c2)):
-        if not is_finite(c):
-            finite = False
-            out.append(Violation("coefficients.finite", f"{name} = {c!r} is not finite", value=c))
-        elif c < 0.0:
-            out.append(Violation("coefficients.nonnegative", f"{name} = {c!r} is negative", value=c))
-    if finite and not coeffs.empirical and coeffs.deviation > EXACT_COEFF_TOL:
-        out.append(
-            Violation(
-                "coefficients.alternative_condition",
-                f"c1 + c2 = {coeffs.c1 + coeffs.c2!r} violates the statistical alternative "
-                f"condition (must be 1 within {EXACT_COEFF_TOL} for exact models)",
-                value=coeffs.c1 + coeffs.c2,
-            )
-        )
+    c = model.coeffs  # finite and >= 0, as checked when made
+    if not c.empirical and c.deviation > EXACT_COEFF_TOL:
+        message = (f"c1 + c2 = {c.c1 + c.c2!r} violates the statistical alternative condition "
+                   f"(must be 1 within {EXACT_COEFF_TOL} for exact models)")
+        out.append(Violation("coefficients.alternative_condition", message, value=c.c1 + c.c2))
     return out
 
 

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContextualModel, SplittingCoefficients, is_finite, is_int, is_number, is_real, same_fields
-from .core import validate_model
+from .core import ContextualModel, SplittingCoefficients, finite_cosh, is_finite, is_int, is_number, is_real
+from .core import same_fields, validate_model
 from .errors import ConsistencyError, DegenerateBranch, OutOfRange
 
 #: Default half-width of the band around ``|lambda| = 1`` classified Boundary.
@@ -125,7 +125,7 @@ def total_probability(coeffs: SplittingCoefficients, p1: float, p2: float) -> fl
     This is the value the pooled probability would take if combining the
     branch data introduced no perturbation.
     """
-    _check_reals(coeffs, p1=p1, p2=p2)
+    _check_reals(p1=p1, p2=p2)
     return coeffs.c1 * p1 + coeffs.c2 * p2
 
 
@@ -137,7 +137,7 @@ def perturbation_delta(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     when the coefficients sum to 1 the two forms agree, and downstream code
     asserts that agreement as a runtime consistency check.
     """
-    _check_reals(coeffs, p_s=p_s, p1=p1, p2=p2)
+    _check_reals(p_s=p_s, p1=p1, p2=p2)
     return coeffs.c1 * (p_s - p1) + coeffs.c2 * (p_s - p2)
 
 
@@ -149,7 +149,7 @@ def lambda_coefficient(coeffs: SplittingCoefficients, p_s: float, p1: float, p2:
     phase, larger magnitudes only as ``+-cosh``.
 
     Raises:
-        ValueError: on an input :func:`forward_trig` refuses.
+        ValueError: on an input that is not a float or an int within the float range.
         DegenerateBranch: if ``c1*p1`` or ``c2*p2`` is zero, in which case
             the normalization is undefined and the bin must be reported as
             degenerate rather than classified.
@@ -171,19 +171,19 @@ def _check_sign(sign: int) -> None:
         raise ValueError(f"sign must be -1 or +1, got {sign!r}")
 
 
-def _check_reals(coeffs: SplittingCoefficients, **values) -> None:
-    """``ValueError`` on the first of ``c1``, ``c2`` and ``values`` that ``float`` refuses; arrays pass."""
-    for name, value in (("c1", coeffs.c1), ("c2", coeffs.c2), *values.items()):
-        if not (is_real(value) or isinstance(value, np.ndarray)):
+def _check_reals(**values) -> None:
+    """``ValueError`` on the first of ``values`` that ``float`` refuses: one bin's numbers, not arrays."""
+    for name, value in values.items():
+        if not is_real(value):
             raise ValueError(f"{name} = {value!r} is not a float or an int within the float range")
 
 
 def _forward_terms(coeffs: SplittingCoefficients, p1: float, p2: float, theta: float) -> tuple[float, float]:
-    """``c1*p1 + c2*p2`` and ``2*sqrt(c1*p1*c2*p2)``; ``ValueError`` on an input ``float`` refuses
-    or an array, since the forward transforms take one bin's numbers."""
-    _check_reals(coeffs, p1=p1, p2=p2, theta=theta)
-    if wrong := [name for name, v in (("p1", p1), ("p2", p2), ("theta", theta)) if isinstance(v, np.ndarray)]:
-        raise ValueError(f"{wrong[0]} is an array; the forward transforms take one bin's numbers")
+    """``c1*p1 + c2*p2`` and ``2*sqrt(c1*p1*c2*p2)``, or ``ValueError`` as :func:`forward_trig` says."""
+    _check_reals(p1=p1, p2=p2, theta=theta)
+    if not (is_finite(p1) and is_finite(p2) and is_finite(theta) and min(p1, p2) >= 0.0):
+        got = f"p1 {p1!r}, p2 {p2!r}, theta {theta!r}"
+        raise ValueError(f"p1 and p2 must be finite and >= 0 and theta finite, got {got}")
     return total_probability(coeffs, p1, p2), 2.0 * math.sqrt(coeffs.c1 * p1 * coeffs.c2 * p2)
 
 
@@ -223,8 +223,8 @@ def forward_trig(coeffs: SplittingCoefficients, p1: float, p2: float, theta: flo
     is a valid probability whenever ``sqrt(c1*p1) + sqrt(c2*p2) <= 1`` (for
     example whenever ``p1 + p2 <= 1``); outside that region the formula can
     exceed 1 and the caller is responsible for the interpretation. No
-    clamping is applied. An input that is not a float or an int within the
-    float range raises ``ValueError``.
+    clamping is applied. ``ValueError`` unless ``p1`` and ``p2`` are finite
+    numbers >= 0 and ``theta`` a finite number.
     """
     mixture, cross = _forward_terms(coeffs, p1, p2, theta)
     return mixture + cross * math.cos(theta)
@@ -240,13 +240,13 @@ def forward_hyp(
     inputs, so the result is checked.
 
     Raises:
-        ValueError: on an input :func:`forward_trig` refuses, or a sign other than the int -1 or +1.
+        ValueError: on an input :func:`forward_trig` or ``core.finite_cosh`` refuses, or a sign not -1 or +1.
         OutOfRange: if the value falls outside [0, 1], meaning the requested
             hyperbolic transition is not realizable as a probability.
     """
     mixture, cross = _forward_terms(coeffs, p1, p2, theta)
     _check_sign(sign)
-    value = mixture + sign * cross * math.cosh(theta)
+    value = mixture + sign * cross * finite_cosh(theta)
     if not (0.0 <= value <= 1.0):
         raise OutOfRange(value, f"hyperbolic transform gives {value!r}, outside [0, 1]")
     return value
@@ -268,8 +268,8 @@ def decompose_arrays(
     phases come from ``math.acos``/``math.acosh``, which numpy's SIMD
     versions do not always match in the last bit. Bins where ``c1*p1`` or
     ``c2*p2`` vanishes get the code :data:`DEGENERATE`. Exact and empirical
-    coefficients are both accepted; the caller validates them and the three
-    distributions (in [0, 1], summing to 1), which are not checked here again.
+    coefficients (checked when made) are both accepted; the caller validates
+    the three distributions (in [0, 1], summing to 1), not checked here again.
 
     Given the detected totals ``(N, N1, N2)`` behind the probabilities, it
     also computes first-order binomial standard errors of lambda and theta
@@ -282,8 +282,9 @@ def decompose_arrays(
             more than ``1e-12 + |c1 + c2 - 1| * pS`` on some bin.
     """
     check_tolerance(tol)
-    classical = total_probability(coeffs, p1, p2)
-    delta = perturbation_delta(coeffs, p_s, p1, p2)
+    c1, c2 = coeffs.c1, coeffs.c2
+    classical = c1 * p1 + c2 * p2
+    delta = c1 * (p_s - p1) + c2 * (p_s - p2)
     residual = p_s - classical
     # The two forms of delta agree up to the deviation of c1 + c2 from 1; a
     # failure here means the inputs bypassed validation.
@@ -296,7 +297,6 @@ def decompose_arrays(
             f"residual form gives {float(residual[i])!r}"
         )
 
-    c1, c2 = coeffs.c1, coeffs.c2
     w1 = c1 * p1
     w2 = c2 * p2
     live = (w1 > 0.0) & (w2 > 0.0)

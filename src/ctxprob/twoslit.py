@@ -14,10 +14,10 @@ acceptance draw with probability 1/2 (only one opening is active, so on
 average half the systems come through) and the survivors land in bins drawn
 from that branch's envelope. Contexts are sampled independently.
 
-Each draw is Philox keyed by ``SeedSequence(entropy=seed, spawn_key=(context index, run index))``.
 Multinomials (and binomials) with one ``p`` sum to one of the summed systems, so R runs of n
-systems have the law of one run of nR, and :func:`run_experiment` draws each context once,
-from the key ``(context index, 0)``; :func:`simulate_context` draws one run of one context.
+systems have the law of one run of nR: each context is drawn once, nR systems from Philox keyed
+by ``SeedSequence(entropy=seed, spawn_key=(context index, 0))``. :func:`run_experiment` draws all
+three, :func:`simulate_context` one, the same histogram.
 
 The analysis half estimates every contextual quantity from the simulated (or
 externally supplied) histograms: splitting coefficients with their sharing
@@ -63,7 +63,7 @@ BRANCH_ACCEPTANCE = 0.5
 
 #: Largest grid accepted: a 2**20-bin ``simulate`` peaks at 546 MiB of memory.
 MAX_BINS = 2**21
-#: Most runs accepted and bound of :func:`simulate_context`'s run index; runs cost no sampling time.
+#: Most runs accepted; runs cost no sampling time.
 MAX_RUNS = 2**16
 
 
@@ -343,29 +343,23 @@ def analytic_pattern(scenario: TwoSlitScenario) -> ContextualDistribution:
     return ContextualDistribution("S", dict(zip(scenario.grid.labels(), pattern.tolist())))
 
 
-def _draw(seed: int, distribution: np.ndarray, context: int, run: int, systems: int) -> np.ndarray:
-    """The histogram of ``systems`` emitted systems under the context at index ``context`` of
-    ``CONTEXT_IDS``, drawn from ``Philox(SeedSequence(entropy=seed, spawn_key=(context, run)))``."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(context, run))))
+def _draw(scenario: TwoSlitScenario, distribution: np.ndarray, context: int) -> np.ndarray:
+    """The histogram of the scenario's ``n_emitted * runs`` systems under ``CONTEXT_IDS[context]``,
+    drawn from ``Philox(SeedSequence(entropy=seed, spawn_key=(context, 0)))``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(scenario.seed, spawn_key=(context, 0))))
+    systems = scenario.n_emitted * scenario.runs
     if context:  # a branch context passes each system with probability 1/2
         systems = int(rng.binomial(systems, BRANCH_ACCEPTANCE))
     return rng.multinomial(systems, distribution)
 
 
-def simulate_context(scenario: TwoSlitScenario, which: str, run: int = 0) -> EnsembleCounts:
-    """Simulate one collection period for one context.
-
-    Deterministic given ``(scenario.seed, which, run)``; the stream for each
-    (context, run) pair is independent of all others. ``run`` is an ``int`` from
-    0 to ``MAX_RUNS - 1``; it may exceed the scenario's own ``runs``.
-    """
+def simulate_context(scenario: TwoSlitScenario, which: str) -> EnsembleCounts:
+    """The histogram of context ``which`` that :func:`run_experiment` reports, at any ``runs``."""
     if which not in CONTEXT_IDS:
         raise ValueError(f"context must be one of {CONTEXT_IDS}, got {which!r}")
-    if not is_int(run, 0, MAX_RUNS - 1):
-        raise ValueError(f"run must be an int from 0 to {MAX_RUNS - 1}, got {run!r}")
-    context = CONTEXT_IDS.index(which)
-    counts = _draw(scenario.seed, _distributions(scenario)[0][context], context, run, scenario.n_emitted)
-    return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts.tolist())), scenario.n_emitted)
+    context, emitted = CONTEXT_IDS.index(which), scenario.n_emitted * scenario.runs
+    counts = _draw(scenario, _distributions(scenario)[0][context], context)
+    return EnsembleCounts(which, dict(zip(scenario.grid.labels(), counts.tolist())), emitted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,7 +457,7 @@ def run_experiment(
     """Simulate all three contexts and estimate the decomposition.
 
     Each context is one draw of ``n_emitted * runs`` systems keyed ``(context, 0)``, the law of
-    the sum of ``runs`` runs; at one run its counts are ``simulate_context(scenario, which, 0)``'s.
+    the sum of ``runs`` runs; its counts are ``simulate_context(scenario, which)``'s.
     ``workers`` changes neither the report nor its speed; it and ``tol`` are checked first.
 
     Raises:
@@ -476,7 +470,7 @@ def run_experiment(
     check_tolerance(tol)
     distributions, raw_total = _distributions(scenario)
     emitted = scenario.n_emitted * scenario.runs
-    counts = np.stack([_draw(scenario.seed, p, i, 0, emitted) for i, p in enumerate(distributions)])
+    counts = np.stack([_draw(scenario, p, i) for i, p in enumerate(distributions)])
     x = scenario.grid.midpoints()
     return _estimate(counts, (emitted,) * 3, tol, x, pattern_normalization=raw_total)
 

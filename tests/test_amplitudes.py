@@ -95,6 +95,13 @@ class TestSplitComplex:
             SplitComplex.hyperbolic_exp(theta)
         assert SplitComplex.hyperbolic_exp(710.0).x < math.inf  # the largest cosh is about 710.48
 
+    @pytest.mark.parametrize("x, y", [("a", 0.0), (0.0, None), (True, 0.0), (10**400, 0)],
+                             ids=["str", "None", "True", "10**400"])
+    def test_fields_outside_the_float_range_are_refused(self, x, y):
+        message = f"x {x!r} and y {y!r} must be floats or ints within the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitComplex(x, y)
+
     def test_multiplication_is_hyperbolic(self):
         # j * j = +1
         j = SplitComplex(0.0, 1.0)

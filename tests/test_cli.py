@@ -792,6 +792,17 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert out == (GOLDENS / "analyze_freewave.csv").read_text()
 
+    def test_a_byte_order_mark_is_not_text(self, capsys, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with one; it is no part of the header.
+        paths = []
+        for name in ("counts_s.csv", "counts_s1.csv", "counts_s2.csv"):
+            path = tmp_path / name
+            path.write_bytes(b"\xef\xbb\xbf" + (GOLDENS / name).read_bytes())
+            paths.append(str(path))
+        code, out, err = run_cli(capsys, "analyze", *paths)
+        assert (code, err) == (0, "")
+        assert out == (GOLDENS / "analyze_freewave.csv").read_text()
+
     def test_lone_carriage_returns_end_rows(self, capsys, tmp_path):
         (tmp_path / "s.csv").write_bytes(b"bin,count\ra,1\r\nb,x\rc,2\n")
         (tmp_path / "ok.csv").write_text("bin,count\na,25\n")

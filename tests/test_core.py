@@ -65,10 +65,8 @@ class TestValidateModel:
         assert validate_model(model) == []
 
     def test_negative_coefficient_rejected_even_if_empirical(self):
-        bad = SplittingCoefficients(-0.1, 1.1, empirical=True)
-        model = three_bin_model()
-        model = ContextualModel(model.space, model.dist_s, model.dist_s1, model.dist_s2, bad)
-        assert any(v.invariant == "coefficients.nonnegative" for v in validate_model(model))
+        with pytest.raises(ValueError, match="^c1 = -0.1 is not a finite number >= 0$"):
+            SplittingCoefficients(-0.1, 1.1, empirical=True)
 
     @pytest.mark.parametrize("c1, empirical", [
         (math.nan, False), (math.inf, True), (math.nan, True),
@@ -76,13 +74,12 @@ class TestValidateModel:
     ], ids=["nan-exact", "inf-empirical", "nan-empirical", "str-exact", "none-empirical", "true-exact",
             "false-empirical", "int-beyond-float-exact"])
     def test_non_finite_coefficient_rejected(self, c1, empirical):
-        # a coefficient that is not a number is reported too, never raised on
-        model = three_bin_model()
-        coeffs = SplittingCoefficients(c1, 0.5, empirical=empirical)
-        model = ContextualModel(model.space, model.dist_s, model.dist_s1, model.dist_s2, coeffs)
-        assert [str(v) for v in validate_model(model)] == [f"coefficients.finite: c1 = {c1!r} is not finite"]
-        with pytest.raises(ValueError, match="^cannot decompose an invalid model: coefficients.finite: "):
-            decompose(model)
+        # refused when made, so no model or kernel ever holds one
+        message = f"c1 = {c1!r} is not a finite number >= 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplittingCoefficients(c1, 0.5, empirical=empirical)
+        with pytest.raises(ValueError, match=f"^c2 = {re.escape(repr(c1))} is not"):
+            SplittingCoefficients(0.5, c1, empirical=empirical)
 
     @pytest.mark.parametrize("p", ["0.2", None, True, False], ids=repr)
     def test_a_probability_that_is_not_a_number_is_a_violation(self, p):

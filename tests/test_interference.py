@@ -41,6 +41,9 @@ FWD_HYP_OOR_VALUE = 1.2715403174076219
 
 HALF = SplittingCoefficients(0.5, 0.5)
 
+#: The forward transforms' rule on their numbers, as their messages state it.
+FORWARD_RULE = "p1 and p2 must be finite and >= 0 and theta finite"
+
 probs = st.floats(0.01, 0.99)
 coeff = st.floats(0.05, 0.95)
 
@@ -180,11 +183,15 @@ class TestClassify:
         (lambda: lambda_coefficient(HALF, 0.5, 10**400, 0.1), "^p1 = 10{400} is not a float or an int within"),
         (lambda: total_probability(HALF, 0.1, 10**400), "^p2 = 10{400} is not a float or an int within"),
         (lambda: perturbation_delta(HALF, 10**400, 0.1, 0.1), "^p_s = 10{400} is not a float or an int within"),
-        (lambda: forward_trig(HALF, np.array([0.1]), 0.1, 0.5), "^p1 is an array; the forward transforms take one"),
-        (lambda: forward_hyp(HALF, 0.1, 0.1, np.array(0.5), 1), "^theta is an array; the forward transforms take one"),
+        (lambda: forward_trig(HALF, np.array([0.1]), 0.1, 0.5), r"^p1 = array\(\[0.1\]\) is not a float or"),
+        (lambda: forward_hyp(HALF, 0.1, 0.1, np.array(0.5), 1), r"^theta = array\(0.5\) is not a float or"),
+        (lambda: forward_trig(HALF, 0.1, 0.1, math.inf), f"^{FORWARD_RULE}, got p1 0.1, p2 0.1, theta inf$"),
+        (lambda: forward_trig(HALF, -0.1, 0.1, 0.5), f"^{FORWARD_RULE}, got p1 -0.1, p2 0.1, theta 0.5$"),
+        (lambda: forward_hyp(HALF, 0.1, 0.1, 1000.0, 1), "^hyperbolic phase 1000.0 is not a finite number with a finite"),
     ], ids=["classify", "forward-trig-theta", "forward-trig-p1", "forward-hyp-theta", "hyperbolic-theta",
             "hyperbolic-str", "hyperbolic-float-sign", "forward-hyp-float-sign", "lambda-coefficient-p1",
-            "total-probability-p2", "perturbation-delta-p-s", "forward-trig-array", "forward-hyp-array"])
+            "total-probability-p2", "perturbation-delta-p-s", "forward-trig-array", "forward-hyp-array",
+            "forward-trig-inf-theta", "forward-trig-negative-p1", "forward-hyp-cosh-overflow"])
     def test_ints_beyond_the_float_range_and_float_signs_are_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

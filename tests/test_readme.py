@@ -28,3 +28,15 @@ def test_scenario_example_runs(capsys, tmp_path):
     assert cli.main(["simulate", str(scenario), "--out", str(report)]) == 0
     assert report.stat().st_size > 0
     assert capsys.readouterr() == ("", "")
+
+
+def test_a_byte_order_mark_is_not_text(capsys, tmp_path):
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        scenario, report = tmp_path / "scenario.json", tmp_path / f"report{len(mark)}.json"
+        scenario.write_bytes(mark + block.encode())
+        assert cli.main(["pattern", str(scenario)]) == 0
+        assert cli.main(["simulate", str(scenario), "--out", str(report)]) == 0
+        outputs.append((capsys.readouterr(), report.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -330,7 +330,6 @@ INT_FIELDS = [
     ("TwoSlitScenario", "sampling.n_emitted", lambda v: small_scenario(n_emitted=v), 2, 0, 2**63 - 1),
     ("TwoSlitScenario", "sampling.runs", lambda v: small_scenario(runs=v), 2, 1, MAX_RUNS),
     ("TwoSlitScenario", "sampling.seed", lambda v: small_scenario(seed=v), 2, 0, 2**64 - 1),
-    ("simulate_context", "run", lambda v: simulate_context(small_scenario(), "S", v), 2, 0, MAX_RUNS - 1),
     ("run_experiment", "workers", lambda v: run_experiment(small_scenario(), workers=v), 2, 1, None),
     ("Hyperbolic", "sign", lambda v: Hyperbolic(1.0, v), 1, -1, 1),
     ("forward_hyp", "sign", lambda v: forward_hyp(SplittingCoefficients(0.5, 0.5), 0.1, 0.1, 0.5, v), 1, -1, 1),
@@ -512,14 +511,12 @@ class TestSimulateContext:
             assert abs(counts.total_detected - 500000) < 5 * math.sqrt(10**6 * 0.25)
         assert simulate_context(sc, "S").total_detected == 10**6
 
-    def test_deterministic_per_context_and_run(self):
+    def test_deterministic_per_context(self):
         sc = gaussian_scenario(seed=123)
-        a = simulate_context(sc, "S1", run=0)
-        b = simulate_context(sc, "S1", run=0)
+        a = simulate_context(sc, "S1")
+        b = simulate_context(sc, "S1")
         assert a == b
-        c = simulate_context(sc, "S1", run=1)
-        assert c != a
-        d = simulate_context(sc, "S2", run=0)
+        d = simulate_context(sc, "S2")
         assert d.counts != a.counts
 
     def test_counts_match_multinomial_expectation(self):
@@ -544,24 +541,14 @@ class TestSimulateContext:
         with pytest.raises(ValueError, match="context"):
             simulate_context(gaussian_scenario(), "S3")
 
-    @pytest.mark.parametrize("run", [-1, 1.5, True, False, MAX_RUNS, np.int64(1), "1"])
-    def test_run_must_be_an_int_below_max_runs(self, run):
-        with pytest.raises(ValueError, match="^run must be an int from 0 to 65535, got "):
-            simulate_context(gaussian_scenario(), "S", run)
-
-    def test_any_run_below_max_runs_is_drawn(self):
-        sc = gaussian_scenario(n_emitted=1000)  # one run
-        for run in (1, MAX_RUNS - 1):
-            assert simulate_context(sc, "S1", run).total_emitted == 1000
-
 
 class TestStreamKeys:
     def test_keys_give_philox_seeded_streams(self):
-        sc = gaussian_scenario(n_emitted=1000, seed=2**64 - 1)
-        seq = np.random.SeedSequence(entropy=sc.seed, spawn_key=(1, 4))
+        sc = gaussian_scenario(n_emitted=1000, runs=3, seed=2**64 - 1)
+        seq = np.random.SeedSequence(entropy=sc.seed, spawn_key=(1, 0))
         rng = np.random.Generator(np.random.Philox(seq))
-        expected = rng.multinomial(rng.binomial(1000, 0.5), sc.envelope1 / sc.envelope1.sum())
-        assert list(simulate_context(sc, "S1", 4).counts.values()) == expected.tolist()
+        expected = rng.multinomial(rng.binomial(3000, 0.5), sc.envelope1 / sc.envelope1.sum())
+        assert list(simulate_context(sc, "S1").counts.values()) == expected.tolist()
 
 
 class TestRunExperiment:
@@ -639,12 +626,14 @@ class TestRunExperiment:
             run_experiment(sc)
         assert time.perf_counter() - start < 0.5  # three empty draws, not one per run
 
-    def test_one_run_is_simulate_context_run_0(self):
-        sc = gaussian_scenario(bins=64, n_emitted=5000, seed=31)
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_counts_are_simulate_context_at_any_runs(self, runs):
+        sc = gaussian_scenario(bins=64, n_emitted=5000, runs=runs, seed=31)
         report = run_experiment(sc)
         counts = (report.counts_s, report.counts_s1, report.counts_s2)
         for which, ensemble in zip(("S", "S1", "S2"), counts):
-            assert ensemble.counts == simulate_context(sc, which, 0).counts
+            assert ensemble == simulate_context(sc, which)
+            assert ensemble.total_emitted == 5000 * runs
 
     def test_runs_sum_to_one_multinomial_of_all_systems(self):
         # R runs of n systems sum to one multinomial of n * R: a cell's count
